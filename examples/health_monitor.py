@@ -10,16 +10,15 @@ Two sessions back to back:
    blackboard backlog, load imbalance) fire mid-simulation, stamped in
    virtual time long before the run ends.
 
-Alerts travel three ways at once: into the monitor's own history, through
-an :class:`AlertRouter` subscription (printed live below), and — dogfooding
-the paper's architecture — as ``health_alert`` data entries consumed by a
-knowledge source on the analyzer root's blackboard.
+Alerts travel three ways at once: into the monitor's own history, to
+every handler registered with ``monitor.subscribe`` (printed live below),
+and — dogfooding the paper's architecture — as ``health_alert`` data
+entries consumed by a knowledge source on the analyzer root's blackboard.
 
 Run:  python examples/health_monitor.py
 """
 
 from repro import CouplingSession
-from repro.analysis.alerts import AlertRouter
 from repro.apps import EulerMHD
 from repro.telemetry import MonitorConfig, Telemetry
 
@@ -31,11 +30,8 @@ def run_session(name: str, nwriters: int, analyzer_nprocs: int) -> None:
     session.add_application(EulerMHD(nwriters, grid=512, iterations=4))
     session.set_analyzer(nprocs=analyzer_nprocs)
 
-    router = AlertRouter()
-    router.subscribe(lambda alert: print(f"  LIVE {alert.describe()}"))
-    session.enable_monitor(
-        config=MonitorConfig(interval=2e-4, window=1e-3), router=router
-    )
+    monitor = session.enable_monitor(config=MonitorConfig(interval=2e-4, window=1e-3))
+    monitor.subscribe(lambda alert: print(f"  LIVE {alert.describe()}"))
 
     result = session.run()
     health = result.health

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Hot-path invariant lint: clock discipline and zero-copy decode paths.
+"""Hot-path invariant lint: clock discipline, zero-copy decode, one writer.
 
-Two structural rules the hot-path refactor relies on, enforced over the
-AST so comments and strings never trip them:
+Three structural rules the codebase relies on, enforced over the AST so
+comments and strings never trip them:
 
 1. **Clock discipline** — ``time.perf_counter`` (and its ``_ns``
    variant) may only be referenced inside ``telemetry/hostprof.py``.
@@ -18,6 +18,12 @@ AST so comments and strings never trip them:
    slice is a hidden copy, which is exactly what the zero-copy parse
    contract (DESIGN 14) forbids.  Encode-side code (``to_bytes``,
    ``build_frame``, ``materialize``) may copy freely.
+
+3. **One NDJSON writer** — outside ``repro/obs/``, no
+   ``X.write(json.dumps(...))`` and no ``X.write(json.dumps(...) + "\n")``.
+   Record files are written by :class:`repro.obs.sinks.FileSink` (the
+   engine's ``stream=`` file, ``write_jsonl``, the bus file sink), so
+   every plane's bytes come from one serializer.
 
 Exit status 0 when clean; 1 with one ``path:line: message`` per
 violation otherwise.  Run from the repository root::
@@ -52,6 +58,9 @@ DECODE_PATH_FUNCTIONS = frozenset(
 
 #: forbidden host-clock attribute names on the ``time`` module
 CLOCK_NAMES = frozenset({"perf_counter", "perf_counter_ns"})
+
+#: the package that owns NDJSON record writing
+WRITER_OWNER = Path("repro") / "obs"
 
 
 def _check_clock_discipline(tree: ast.AST, rel: Path) -> list[str]:
@@ -102,6 +111,38 @@ def _check_decode_paths(tree: ast.AST, rel: Path) -> list[str]:
     return problems
 
 
+def _is_json_dumps(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "dumps"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "json"
+    )
+
+
+def _check_single_writer(tree: ast.AST, rel: Path) -> list[str]:
+    """Flag X.write(json.dumps(...)) and X.write(json.dumps(...) + ...)."""
+    problems = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "write"
+            and node.args
+        ):
+            continue
+        arg = node.args[0]
+        if isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Add):
+            arg = arg.left
+        if _is_json_dumps(arg):
+            problems.append(
+                f"{rel}:{node.lineno}: write(json.dumps(...)) outside "
+                f"{WRITER_OWNER} — write records through repro.obs.sinks.FileSink"
+            )
+    return problems
+
+
 def check_tree(src_root: Path) -> list[str]:
     """All invariant violations under ``src_root`` (a ``src/`` directory)."""
     problems = []
@@ -112,6 +153,8 @@ def check_tree(src_root: Path) -> list[str]:
             problems.extend(_check_clock_discipline(tree, rel))
         if rel == FRAME_MODULE:
             problems.extend(_check_decode_paths(tree, rel))
+        if WRITER_OWNER not in rel.parents:
+            problems.extend(_check_single_writer(tree, rel))
     return problems
 
 
@@ -126,7 +169,10 @@ def main(argv: list[str]) -> int:
     if problems:
         print(f"{len(problems)} hot-path invariant violation(s)")
         return 1
-    print("hot-path invariants hold (clock discipline, zero-copy decode)")
+    print(
+        "hot-path invariants hold (clock discipline, zero-copy decode, "
+        "one NDJSON writer)"
+    )
     return 0
 
 

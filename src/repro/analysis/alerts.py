@@ -15,17 +15,15 @@ Detectors:
 * **silence** — a previously chatty rank produced no events for more than
   ``silence_threshold`` seconds (hang symptom; evaluated on closing).
 
-The :class:`AlertRouter` is the common fan-out bus: application-level
-:class:`Alert`\\ s and the self-telemetry monitor's
-:class:`~repro.telemetry.monitor.HealthAlert`\\ s share it (both expose a
-``kind`` attribute), so one subscriber can watch the applications and the
-measurement pipeline itself through a single subscription surface.
+Raised alerts accumulate on :attr:`AlertMonitor.alerts`; the analysis
+engine merges the per-level monitors up the reduction tree.  The
+measurement pipeline's own alerts are a separate plane
+(:class:`~repro.telemetry.monitor.HealthMonitor`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,53 +68,6 @@ class AlertConfig:
             raise ConfigError("window must be positive")
 
 
-class AlertRouter:
-    """Fan-out bus for alerts: subscribe handlers, keep bounded history.
-
-    Any object with a ``kind`` attribute routes — both the application
-    :class:`Alert` and the monitor's ``HealthAlert``.  Handlers subscribed
-    with ``kind=None`` see everything; otherwise only their kind.  History
-    is bounded so a pathological alert storm cannot grow without limit.
-    """
-
-    def __init__(self, history: int = 1024):
-        if history < 1:
-            raise ConfigError(f"router history must be >= 1, got {history}")
-        self.history = history
-        self.alerts: list[Any] = []
-        self.routed = 0
-        self.dropped = 0
-        self._handlers: list[tuple[str | None, Callable[[Any], None]]] = []
-
-    def subscribe(self, handler: Callable[[Any], None], kind: str | None = None) -> None:
-        """Register a handler for one alert kind (None = all kinds)."""
-        if not callable(handler):
-            raise ConfigError("alert handler must be callable")
-        self._handlers.append((kind, handler))
-
-    def route(self, alert: Any) -> Any:
-        """Record the alert and deliver it to every matching handler."""
-        kind = getattr(alert, "kind", None)
-        if kind is None:
-            raise ReproError(f"cannot route object without a kind: {alert!r}")
-        self.routed += 1
-        self.alerts.append(alert)
-        excess = len(self.alerts) - self.history
-        if excess > 0:
-            del self.alerts[:excess]
-            self.dropped += excess
-        for want, handler in self._handlers:
-            if want is None or want == kind:
-                handler(alert)
-        return alert
-
-    def by_kind(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for alert in self.alerts:
-            out[alert.kind] = out.get(alert.kind, 0) + 1
-        return out
-
-
 class AlertMonitor:
     """Mergeable online alert detector (one per application level)."""
 
@@ -125,14 +76,12 @@ class AlertMonitor:
         app: str,
         app_size: int,
         config: AlertConfig | None = None,
-        router: AlertRouter | None = None,
     ):
         if app_size <= 0:
             raise ReproError(f"app_size must be > 0, got {app_size}")
         self.app = app
         self.app_size = app_size
         self.config = config or AlertConfig()
-        self.router = router
         self.alerts: list[Alert] = []
         self._last_event = np.zeros(app_size)
         self._seen = np.zeros(app_size, dtype=bool)
@@ -167,7 +116,7 @@ class AlertMonitor:
         if rate > cfg.rate_threshold:
             new += self._raise("message_rate", rank, t_hi, rate, cfg.rate_threshold)
 
-        self._record(new)
+        self.alerts.extend(new)
         return new
 
     def finalize(self, t_end: float) -> list[Alert]:
@@ -181,14 +130,8 @@ class AlertMonitor:
                 new += self._raise(
                     "silence", rank, t_end, silence, self.config.silence_threshold
                 )
-        self._record(new)
-        return new
-
-    def _record(self, new: list[Alert]) -> None:
         self.alerts.extend(new)
-        if self.router is not None:
-            for alert in new:
-                self.router.route(alert)
+        return new
 
     def _raise(
         self, kind: str, rank: int, t: float, value: float, threshold: float

@@ -265,13 +265,6 @@ class ProfileReport:
         published = h.get("published_to_blackboard", 0)
         if published:
             out.append(f"- alerts analyzed by the blackboard: {published}")
-        router = h.get("router")
-        if router is not None:
-            dropped = router.get("dropped", 0)
-            line = f"- alerts routed: {router.get('routed', 0)}"
-            if dropped:
-                line += f" ({dropped} dropped by the router's bounded history)"
-            out.append(line)
         alerts = h.get("alerts", [])
         if not alerts:
             out.append("- alerts raised: none")

@@ -2,7 +2,7 @@
 
 Runs the fig14-style coupled workload (an instrumented SP kernel streaming
 into the analyzer partition) with every observation plane enabled — health
-monitor, POP metrics with the legacy NDJSON stream, steering, provenance —
+monitor, POP metrics with their ``stream=`` NDJSON file, steering, provenance —
 twice: once without the bus (hub-off) and once with the bus publishing to
 a file sink plus an in-memory ring (hub-on).  The lane self-gates before
 it reports anything:
@@ -11,8 +11,7 @@ it reports anything:
   event/pack counts, analyzer byte totals) must equal the hub-off run's:
   the bus observes, it never perturbs;
 * **byte-identity** — the bus file sink's records of the POP metrics
-  schema must be byte-for-byte the legacy
-  :class:`~repro.telemetry.stream_export.MetricsStreamWriter` stream;
+  schema must be byte-for-byte the engine's ``stream=`` file;
 * **count self-consistency** — the bus's per-schema record counts must
   match each plane's own totals (telemetry records, monitor alerts,
   steering decisions, metrics stream lines);
@@ -35,6 +34,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.apps.nas import SP
+from repro.bench.harness import run_fingerprint
 from repro.core.session import CouplingSession
 from repro.errors import ConfigError
 from repro.network.machine import MachineSpec, TERA100
@@ -102,8 +102,8 @@ def _run_once(
     name = session.add_application(_workload(scale))
     session.set_analyzer(ratio=4.0)
     session.enable_monitor()
-    legacy = workdir / f"pop_{tag}.ndjson"
-    session.enable_pop_metrics(PopConfig(window=0.5), stream=str(legacy))
+    stream = workdir / f"pop_{tag}.ndjson"
+    session.enable_pop_metrics(PopConfig(window=0.5), stream=str(stream))
     session.enable_steering()
     session.enable_provenance()
     unified = workdir / f"unified_{tag}.ndjson"
@@ -112,15 +112,7 @@ def _run_once(
     t0 = hostprof.host_now()
     run = session.run()
     wall = hostprof.host_now() - t0
-    return session, run, run.app(name), wall, legacy, unified
-
-
-def _fingerprint(app, stats) -> tuple:
-    """The simulation outputs that must not move when the bus is on."""
-    return (
-        app.walltime, app.events, app.packs,
-        stats["packs"], stats["bytes"], stats["bytes_wire"],
-    )
+    return session, run, run.app(name), wall, stream, unified
 
 
 def _schema_total(bus_summary: dict[str, Any], schema: str) -> int:
@@ -153,32 +145,32 @@ def obs_roundtrip(
         workdir = Path(tmp)
 
         # -- gate 1: bit-identity, hub off vs on -------------------------------
-        _, ref_run, ref_app, _, ref_legacy, _ = _run_once(
+        _, ref_run, ref_app, _, ref_stream, _ = _run_once(
             scale, machine, seed, workdir, "off", with_bus=False
         )
-        session, run, app, _, legacy, unified = _run_once(
+        session, run, app, _, stream, unified = _run_once(
             scale, machine, seed, workdir, "on", with_bus=True
         )
-        ref_fp = _fingerprint(ref_app, ref_run.analyzer_stats)
-        fp = _fingerprint(app, run.analyzer_stats)
+        ref_fp = run_fingerprint(ref_app, ref_run.analyzer_stats)
+        fp = run_fingerprint(app, run.analyzer_stats)
         if fp != ref_fp:
             raise ConfigError(
                 f"observability bus perturbed the simulation: {ref_fp} -> {fp}"
             )
 
         # -- gate 2: byte-identity of the POP stream ---------------------------
-        legacy_bytes = ref_legacy.read_bytes()
-        if legacy.read_bytes() != legacy_bytes:
-            raise ConfigError("legacy POP stream differs between paired runs")
+        stream_bytes = ref_stream.read_bytes()
+        if stream.read_bytes() != stream_bytes:
+            raise ConfigError("POP stream file differs between paired runs")
         bus_metric_lines = b"".join(
             line
             for line in unified.read_bytes().splitlines(keepends=True)
             if json.loads(line).get("schema") == METRICS_SCHEMA
         )
-        if bus_metric_lines != legacy_bytes:
+        if bus_metric_lines != stream_bytes:
             raise ConfigError(
-                "bus file sink is not byte-identical to the legacy POP "
-                f"stream ({len(bus_metric_lines)} vs {len(legacy_bytes)} bytes)"
+                "bus file sink is not byte-identical to the POP stream "
+                f"file ({len(bus_metric_lines)} vs {len(stream_bytes)} bytes)"
             )
 
         # -- gate 3: per-plane count self-consistency --------------------------
@@ -187,7 +179,7 @@ def obs_roundtrip(
             raise ConfigError(f"bus rejected records: {summary}")
         plane_totals = {
             TELEMETRY_SCHEMA: len(jsonl_records(session.telemetry)),
-            METRICS_SCHEMA: len(legacy_bytes.splitlines()),
+            METRICS_SCHEMA: len(stream_bytes.splitlines()),
             HEALTH_SCHEMA: len(session.monitor.alerts),
             STEERING_SCHEMA: len(session.steering.decisions),
         }

@@ -53,6 +53,7 @@ import repro.simt.primitives as _primitives_mod
 import repro.simt.process as _process_mod
 import repro.vmpi.stream as _stream_mod
 from repro.apps.nas import SP
+from repro.bench.harness import run_fingerprint
 from repro.core.session import CouplingSession
 from repro.errors import ConfigError
 from repro.instrument.overhead import InstrumentationCost
@@ -194,14 +195,6 @@ def _throughput(profiler: HostProfiler, names: tuple[str, ...]) -> float:
     return nbytes / total_s / 1e6 if total_s > 0 else 0.0
 
 
-def _fingerprint(app, stats) -> tuple:
-    """The simulation outputs that must not move when profiling is on."""
-    return (
-        app.walltime, app.events, app.packs,
-        stats["packs"], stats["bytes"], stats["bytes_wire"],
-    )
-
-
 # -- allocation probes ------------------------------------------------------------
 #
 # Throughput columns are host-speed-dependent and gate loosely; the alloc
@@ -328,10 +321,10 @@ def selfperf_sweep(
     app, stats, _ = _run_once(
         chains[0], scale, machine, seed, telemetry, profiler=probe
     )
-    if _fingerprint(app, stats) != _fingerprint(ref_app, ref_stats):
+    if run_fingerprint(app, stats) != run_fingerprint(ref_app, ref_stats):
         raise ConfigError(
             "host profiler perturbed the simulation: "
-            f"{_fingerprint(ref_app, ref_stats)} -> {_fingerprint(app, stats)}"
+            f"{run_fingerprint(ref_app, ref_stats)} -> {run_fingerprint(app, stats)}"
         )
 
     # -- gate 2: overhead ratio, best-of-N paired runs -------------------------

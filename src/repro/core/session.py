@@ -28,15 +28,8 @@ from repro.instrument.interceptor import StreamingInstrumentation
 from repro.instrument.overhead import InstrumentationCost
 from repro.mpi.world import World
 from repro.network.machine import MachineSpec, TERA100
-from repro.analysis.alerts import AlertRouter
 from repro.obs.bus import ObservabilityBus
-from repro.obs.registry import (
-    HEALTH_SCHEMA,
-    METRICS_SCHEMA,
-    REGISTRY,
-    STEERING_SCHEMA,
-    make_record,
-)
+from repro.obs.registry import HEALTH_SCHEMA, STEERING_SCHEMA, make_record
 from repro.obs.sinks import FileSink, RingSink, TailServer
 from repro.steering import SteeringController, SteeringPolicy
 from repro.telemetry import FlowRegistry, NULL_TELEMETRY, Telemetry
@@ -44,7 +37,6 @@ from repro.telemetry import hostprof as _hostprof
 from repro.telemetry.export import jsonl_records as _telemetry_records
 from repro.telemetry.monitor import HealthMonitor, MonitorConfig
 from repro.telemetry.popmetrics import PopConfig, PopMetricsEngine
-from repro.telemetry.stream_export import MetricsStreamWriter
 from repro.vmpi.virtualization import VirtualizedLauncher
 
 #: reserved partition name of the analysis engine
@@ -143,7 +135,7 @@ class CouplingSession:
         self._fault_plan: FaultPlan | None = None
         self._flows: FlowRegistry | None = None
         self._pop: PopMetricsEngine | None = None
-        self._pop_writer: MetricsStreamWriter | None = None
+        self._pop_file: FileSink | None = None
         self._steering: SteeringController | None = None
         self._obs: ObservabilityBus | None = None
         self._obs_ring: RingSink | None = None
@@ -208,17 +200,16 @@ class CouplingSession:
         )
         return chain.spec
 
-    def enable_monitor(
-        self, config: MonitorConfig | None = None, router=None
-    ) -> HealthMonitor:
+    def enable_monitor(self, config: MonitorConfig | None = None) -> HealthMonitor:
         """Attach an online health monitor to the upcoming run.
 
         Requires live telemetry (the monitor reads the instrument stream).
         The monitor samples every instrument into bounded ring series on a
         periodic kernel callback, raises :class:`HealthAlert`\\ s *during*
         the simulation, and publishes them onto the analyzer root's
-        blackboard.  It is observation-only: simulation results are
-        bit-identical with the monitor on or off.
+        blackboard.  Handlers registered with :meth:`HealthMonitor.subscribe`
+        see every alert as it fires.  It is observation-only: simulation
+        results are bit-identical with the monitor on or off.
         """
         if not self.telemetry.enabled:
             raise ConfigError(
@@ -227,7 +218,7 @@ class CouplingSession:
             )
         if self._monitor is not None:
             raise ConfigError("health monitor already enabled for this session")
-        self._monitor = HealthMonitor(self.telemetry, config=config, router=router)
+        self._monitor = HealthMonitor(self.telemetry, config=config)
         return self._monitor
 
     def enable_pop_metrics(
@@ -259,8 +250,8 @@ class CouplingSession:
             raise ConfigError("pop metrics already enabled for this session")
         self._pop = PopMetricsEngine(self.telemetry, config=config)
         if stream is not None:
-            self._pop_writer = MetricsStreamWriter(stream)
-            self._pop.add_sink(self._pop_writer)
+            self._pop_file = FileSink(stream)
+            self._pop.add_sink(self._pop_file.emit)
         return self._pop
 
     @property
@@ -271,13 +262,13 @@ class CouplingSession:
         """Close the control loop: act on health alerts during the run.
 
         A :class:`~repro.steering.SteeringController` subscribes to the
-        health monitor's alert router and — under the given declarative
+        health monitor's alerts and — under the given declarative
         :class:`~repro.steering.SteeringPolicy` — escalates/relaxes the
         writers' reduction chain, autoscales the analyzer's modelled
         worker pool, and rebalances writers across analyzer ranks.  The
-        monitor (and its router) is created on demand; live telemetry is
-        required.  A run in which no decision fires is bit-identical to
-        the same run without steering.
+        monitor is created on demand; live telemetry is required.  A run
+        in which no decision fires is bit-identical to the same run
+        without steering.
 
         After :meth:`run`, :attr:`SessionResult.steering` and the
         report's "Steering" section carry the decision journal.
@@ -291,8 +282,6 @@ class CouplingSession:
             raise ConfigError("steering already enabled for this session")
         if self._monitor is None:
             self.enable_monitor()
-        if self._monitor.router is None:
-            self._monitor.router = AlertRouter()
         self._steering = SteeringController(policy)
         return self._steering
 
@@ -317,7 +306,7 @@ class CouplingSession:
 
         * ``path`` — an NDJSON :class:`~repro.obs.sinks.FileSink` whose
           byte stream for any single schema is identical to that plane's
-          legacy exporter;
+          own ``write_jsonl`` / ``stream=`` file;
         * ``ring`` — a bounded in-memory :class:`~repro.obs.sinks.RingSink`
           (None disables it) left queryable after the run via
           :attr:`obs_ring`;
@@ -414,25 +403,16 @@ class CouplingSession:
         """Subscribe the bus to every live plane the session has enabled."""
         bus = self._obs
         if self._pop is not None:
-            self._pop.add_sink(_BusMetricsSink(bus))
+            self._pop.add_sink(bus.publish)
         if self._monitor is not None:
-            if self._monitor.router is None:
-                self._monitor.router = AlertRouter()
-            known = REGISTRY.kinds_for(HEALTH_SCHEMA)
 
             def publish_alert(alert: Any) -> None:
-                d = (
-                    alert.as_dict()
-                    if hasattr(alert, "as_dict")
-                    else dataclasses.asdict(alert)
-                )
-                kind = d.pop("kind", None)
-                # Foreign alert kinds (a user's custom router traffic) are
-                # not the health plane's to publish — skip, don't crash.
-                if kind in known:
-                    bus.publish(make_record(HEALTH_SCHEMA, kind, **d))
+                d = alert.as_dict()
+                bus.publish(make_record(HEALTH_SCHEMA, d.pop("kind"), **d))
 
-            self._monitor.router.subscribe(publish_alert)
+            # After steering's own subscription (made in attach()), so a
+            # decision reaches the bus before the alert that triggered it.
+            self._monitor.subscribe(publish_alert)
         if self._steering is not None:
             self._steering.on_decision = lambda decision: bus.publish(
                 make_record(STEERING_SCHEMA, "decision", **decision.as_dict())
@@ -512,8 +492,8 @@ class CouplingSession:
         if self._pop is not None:
             self._pop.finalize(world.kernel.now)
             self._pop.detach()
-            if self._pop_writer is not None:
-                self._pop_writer.close()
+            if self._pop_file is not None:
+                self._pop_file.close()
 
         apps: dict[str, AppRun] = {}
         for name, kernel in self._apps:
@@ -623,27 +603,6 @@ class CouplingSession:
             analyzer_stats=None,
             world=world,
         )
-
-
-class _BusMetricsSink:
-    """POP-engine sink republishing windows/phases onto the obs bus.
-
-    Builds the very same record dicts as
-    :class:`~repro.telemetry.stream_export.MetricsStreamWriter`, so a bus
-    file sink stays byte-identical to the legacy NDJSON stream.
-    """
-
-    def __init__(self, bus: ObservabilityBus):
-        self._bus = bus
-
-    def on_window(self, window: dict[str, Any]) -> None:
-        self._bus.publish(make_record(METRICS_SCHEMA, "window", **window))
-
-    def on_phase(self, phase: dict[str, Any]) -> None:
-        self._bus.publish(make_record(METRICS_SCHEMA, "phase", **phase))
-
-    def on_run_summary(self, summary: dict[str, Any]) -> None:
-        self._bus.publish(make_record(METRICS_SCHEMA, "run_summary", **summary))
 
 
 def _instrumented_main(mpi, kernel: AppKernel, cost: InstrumentationCost, registry: list):

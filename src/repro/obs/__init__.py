@@ -12,8 +12,8 @@ post-mortem files):
   record-assembly point;
 * :mod:`repro.obs.bus` — :class:`ObservabilityBus`, validate-on-publish
   fan-out with per-sink delivery/drop/error accounting;
-* :mod:`repro.obs.sinks` — NDJSON :class:`FileSink` (byte-identical to
-  the legacy exporters), bounded :class:`RingSink` for live query, and
+* :mod:`repro.obs.sinks` — NDJSON :class:`FileSink` (the one record
+  writer every plane uses), bounded :class:`RingSink` for live query, and
   :class:`TailServer`, a line-delimited TCP/Unix-socket live-tail feed;
 * :mod:`repro.obs.archive` — torn-tail-tolerant NDJSON reading and the
   run-archive query engine behind ``python -m repro.obs``.

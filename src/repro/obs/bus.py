@@ -6,8 +6,8 @@ output.  Every plane (virtual-time telemetry, host-time profiling, POP
 efficiency windows, health alerts, steering decisions) publishes
 schema-tagged records into one bus; pluggable sinks fan them out:
 
-* :class:`~repro.obs.sinks.FileSink` — JSONL/NDJSON files, byte-identical
-  to the legacy per-plane exporters;
+* :class:`~repro.obs.sinks.FileSink` — JSONL/NDJSON files, the same
+  writer behind each plane's own ``write_jsonl`` / ``stream=`` file;
 * :class:`~repro.obs.sinks.RingSink` — a bounded in-memory ring for live
   queries mid-run;
 * :class:`~repro.obs.sinks.TailServer` — a line-delimited TCP/Unix-socket

@@ -14,8 +14,8 @@ schema                    record kinds
 ``repro.telemetry/1``     span, instant, counter, gauge, histogram, flow
 ``repro.hostprof/1``      meta, timer, count, span, gc, process
 ``repro.pop-metrics/1``   window, phase, run_summary
-``repro.health/1``        one kind per alert kind (windowed detectors, fault
-                          watch, application alerts) plus the paired
+``repro.health/1``        one kind per health-monitor alert kind (windowed
+                          detectors, fault watch) plus the paired
                           ``<kind>.cleared`` edge events
 ``repro.steering/1``      decision
 ========================  =======================================================
@@ -24,8 +24,8 @@ The plane modules import their constants *from here* (re-exporting them
 under the old names for compatibility), so a schema bump happens in exactly
 one place, and :func:`make_record` is the one way any exporter stamps a
 ``{"schema": ..., "kind": ...}`` record — the payload key order is
-preserved, which keeps the bus's file sinks byte-identical to the legacy
-per-plane exporters.
+preserved, so a plane's records serialize to the same bytes whichever
+file sink writes them.
 
 This module deliberately imports nothing from :mod:`repro.telemetry` (the
 telemetry modules import *it*), so it can never participate in a cycle.
@@ -99,13 +99,9 @@ FAULT_ALERT_KINDS = frozenset(
     }
 )
 
-#: Application-level alert kinds (:mod:`repro.analysis.alerts`).
-APP_ALERT_KINDS = frozenset({"waiting", "message_rate", "silence"})
-
 HEALTH_KINDS = frozenset(
     WINDOWED_ALERT_KINDS
     | FAULT_ALERT_KINDS
-    | APP_ALERT_KINDS
     | {kind + CLEARED_SUFFIX for kind in WINDOWED_ALERT_KINDS}
 )
 

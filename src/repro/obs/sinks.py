@@ -25,13 +25,11 @@ __all__ = ["FileSink", "RingSink", "TailServer", "parse_address"]
 class FileSink:
     """Append one ``json.dumps`` line per record — the NDJSON/JSONL format.
 
-    The byte stream is identical to the legacy per-plane exporters
-    (:class:`~repro.telemetry.export.JSONLExporter`, the hostprof JSONL
-    writer, :class:`~repro.telemetry.stream_export.MetricsStreamWriter`)
-    because all of them serialize the very same record dicts with the very
-    same ``json.dumps`` defaults.  ``flush_each=True`` (the default)
-    flushes after every line so a reader can tail the file mid-run —
-    exactly the contract the POP metrics stream already had.
+    The one record writer: the bus file sink, the POP engine's ``stream=``
+    file and both ``write_jsonl`` dumps (telemetry, hostprof) all go
+    through it, so a plane's records have the same bytes in every file.
+    ``flush_each=True`` (the default) flushes after every line so a
+    reader can tail the file mid-run.
 
     ``target`` is a path (opened/truncated immediately, closed by
     :meth:`close`) or an open text file object (caller keeps ownership).

@@ -6,21 +6,15 @@ table, the codec-descriptor chain, the CRC verdict and any provenance or
 sampling sections — without ever raising on damaged input (diagnostics
 must work on exactly the packs the analyzer rejects).
 
-Both wire generations are understood:
-
-* **v2 frames** (magic ``EVF2``) go through the canonical parser,
-  :func:`repro.codec.frame.parse_frame`, in non-verifying mode.
-* **v1 legacy packs** (magic ``EVNT``: 16-byte header, raw records, CRC
-  trailer, optional 26-byte provenance trailer) are decoded by a
-  self-contained reader kept entirely inside this module, so the rest of
-  the codebase carries no trace of the retired format.
+Frames (magic ``EVF2``) go through the canonical parser,
+:func:`repro.codec.frame.parse_frame`, in non-verifying mode; any other
+leading magic is reported as ``format: unknown``.
 """
 
 from __future__ import annotations
 
 import struct
 import sys
-import zlib
 
 from repro.codec.frame import (
     FRAME_MAGIC,
@@ -32,50 +26,6 @@ from repro.codec.frame import (
 )
 from repro.codec.stages import decode_chain
 from repro.errors import PackFormatError
-
-# -- the retired v1 format, self-contained ------------------------------------------
-
-_V1_MAGIC = 0x45564E54  # "EVNT"
-_V1_HEADER_FMT = "<IHHII"
-_V1_HEADER_SIZE = struct.calcsize(_V1_HEADER_FMT)  # 16
-_V1_RECORD_SIZE = 40
-_V1_CRC_SIZE = 4
-_V1_PROV_MAGIC = 0x50524F56  # "PROV"
-_V1_PROV_FMT = "<QHIdI"
-_V1_PROV_SIZE = struct.calcsize(_V1_PROV_FMT)  # 26
-
-
-def _dump_v1(blob: bytes, out: list[str]) -> None:
-    out.append("format: v1 legacy pack (magic EVNT)")
-    if len(blob) < _V1_HEADER_SIZE:
-        out.append(f"  TRUNCATED: {len(blob)} bytes, header needs {_V1_HEADER_SIZE}")
-        return
-    magic, version, app_id, rank, count = struct.unpack_from(_V1_HEADER_FMT, blob, 0)
-    out.append(f"  version {version}  app_id {app_id}  rank {rank}  count {count}")
-    body_end = _V1_HEADER_SIZE + count * _V1_RECORD_SIZE
-    if len(blob) < body_end + _V1_CRC_SIZE:
-        out.append(
-            f"  TRUNCATED: {len(blob)} bytes, {count} records + CRC need "
-            f"{body_end + _V1_CRC_SIZE}"
-        )
-        return
-    out.append(f"  records: {count} x {_V1_RECORD_SIZE} B at offset {_V1_HEADER_SIZE}")
-    stored = struct.unpack_from("<I", blob, body_end)[0]
-    computed = zlib.crc32(blob[:body_end])
-    verdict = "OK" if stored == computed else f"MISMATCH (computed {computed:#010x})"
-    out.append(f"  crc32: {stored:#010x} {verdict}")
-    rest = blob[body_end + _V1_CRC_SIZE :]
-    if len(rest) == _V1_PROV_SIZE:
-        flow_id, papp, prank, t_seal, pmagic = struct.unpack(_V1_PROV_FMT, rest)
-        if pmagic == _V1_PROV_MAGIC:
-            out.append(
-                f"  provenance trailer: flow {flow_id:#x} app {papp} "
-                f"rank {prank} sealed t={t_seal:.9g}"
-            )
-            return
-    if rest:
-        out.append(f"  {len(rest)} unexplained trailing bytes")
-
 
 # -- v2 frames, via the canonical parser --------------------------------------------
 
@@ -129,8 +79,6 @@ def dump(blob: bytes) -> str:
         magic = struct.unpack_from("<I", blob, 0)[0]
         if magic == FRAME_MAGIC:
             _dump_v2(blob, out)
-        elif magic == _V1_MAGIC:
-            _dump_v1(blob, out)
         else:
             out.append(f"format: unknown (leading magic {magic:#010x})")
     else:

@@ -1,7 +1,7 @@
 """The steering controller: health alerts in, actuation decisions out.
 
 The controller is wired between the :class:`~repro.telemetry.monitor.
-HealthMonitor` (via its :class:`~repro.analysis.alerts.AlertRouter`) and
+HealthMonitor` (as one of its alert subscribers) and
 three actuators that already exist in the simulation:
 
 * **reduction escalation** — every writer's
@@ -134,7 +134,7 @@ class SteeringController:
         registries: dict[str, list],
         initial_chain: str = "",
     ) -> None:
-        """Subscribe to the monitor's router and the kernel's relax tick.
+        """Subscribe to the monitor's alerts and the kernel's relax tick.
 
         ``registries`` is the session's per-application interceptor lists —
         empty at attach time, populated by the programs as they start.  The
@@ -143,8 +143,6 @@ class SteeringController:
         """
         if self._world is not None:
             raise ConfigError("steering controller already attached")
-        if monitor.router is None:
-            raise ConfigError("steering needs a monitor with an AlertRouter")
         self._world = world
         self._monitor = monitor
         self._registries = registries
@@ -154,7 +152,7 @@ class SteeringController:
         except ValueError:
             self._base_level = 0
         self._level = self._base_level
-        monitor.router.subscribe(self.on_alert)
+        monitor.subscribe(self.on_alert)
         # Registered after the monitor's hook, so same-tick cleared alerts
         # are already delivered when the relax pass runs.
         interval = self.policy.tick_interval_s or monitor.config.interval
@@ -169,10 +167,10 @@ class SteeringController:
     # -- alert path (escalation: edge-driven) -------------------------------------
 
     def on_alert(self, alert: Any) -> None:
-        """Router callback: classify one alert and act on it immediately."""
+        """Monitor callback: classify one alert and act on it immediately."""
         kind = getattr(alert, "kind", None)
         if kind is None or getattr(alert, "source", "") != "health_monitor":
-            return  # application-level alerts share the router; ignore them
+            return  # only the health monitor's own alerts steer
         self.alerts_seen += 1
         if kind.endswith(CLEARED_SUFFIX):
             base = kind[: -len(CLEARED_SUFFIX)]

@@ -53,10 +53,7 @@ from repro.telemetry.monitor import (
 )
 from repro.telemetry.timeline import CUMULATIVE, LEVEL, Timeline, TimeSeries
 from repro.telemetry.export import (
-    EXPORTERS,
     TELEMETRY_SCHEMA,
-    ChromeTraceExporter,
-    JSONLExporter,
     chrome_trace_dict,
     jsonl_records,
 )
@@ -68,7 +65,6 @@ from repro.telemetry.popmetrics import (
 )
 from repro.telemetry.stream_export import (
     METRICS_SCHEMA,
-    MetricsStreamWriter,
     iter_metrics_stream,
     read_metrics_stream,
 )
@@ -121,17 +117,13 @@ __all__ = [
     "NULL_COUNTER",
     "NULL_GAUGE",
     "NULL_HISTOGRAM",
-    "EXPORTERS",
     "TELEMETRY_SCHEMA",
-    "ChromeTraceExporter",
-    "JSONLExporter",
     "chrome_trace_dict",
     "jsonl_records",
     "PopMetricsEngine",
     "PopConfig",
     "METRIC_KEYS",
     "metrics_from_sums",
-    "MetricsStreamWriter",
     "METRICS_SCHEMA",
     "iter_metrics_stream",
     "read_metrics_stream",

@@ -15,9 +15,11 @@ instrumentation point.
 
 from __future__ import annotations
 
+import json
 from typing import Any, Callable
 
-from repro.telemetry.export import EXPORTERS, chrome_trace_dict, jsonl_records
+from repro.obs.sinks import FileSink
+from repro.telemetry.export import chrome_trace_dict, jsonl_records
 from repro.telemetry.hostprof import host_now
 from repro.telemetry.metrics import (
     NULL_COUNTER,
@@ -199,21 +201,19 @@ class Telemetry:
     def jsonl_records(self) -> list[dict[str, Any]]:
         return jsonl_records(self)
 
-    def export(self, fmt: str, path: str) -> str:
-        """Write the trace with the named exporter (``chrome`` / ``jsonl``)."""
-        try:
-            exporter = EXPORTERS[fmt]
-        except KeyError:
-            raise ValueError(
-                f"unknown exporter {fmt!r}; choose from {sorted(EXPORTERS)}"
-            ) from None
-        return exporter.export(self, path)
-
     def write_chrome_trace(self, path: str) -> str:
-        return self.export("chrome", path)
+        with open(path, "w") as fh:
+            json.dump(chrome_trace_dict(self), fh)
+        return path
 
     def write_jsonl(self, path: str) -> str:
-        return self.export("jsonl", path)
+        sink = FileSink(path, flush_each=False)
+        try:
+            for record in jsonl_records(self):
+                sink.emit(record)
+        finally:
+            sink.close()
+        return path
 
     # -- lifecycle -----------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace-event JSON and JSONL.
+"""Telemetry record builders: Chrome trace-event JSON and JSONL.
 
 The Chrome format (one ``traceEvents`` array of ``ph``-tagged dicts) loads
 directly in Perfetto or ``chrome://tracing``: spans become complete ``"X"``
@@ -7,8 +7,9 @@ every named track gets a ``process_name`` metadata row — one process row per
 simulated rank.  Timestamps are virtual seconds scaled to microseconds, the
 unit both viewers expect.
 
-JSONL writes one self-describing JSON object per line (spans, instants,
-counters, gauges, histograms, flows), convenient for ad-hoc ``jq``/pandas
+The JSONL records are one self-describing JSON object per datum (spans,
+instants, counters, gauges, histograms, flows), written one per line by
+:class:`~repro.obs.sinks.FileSink` and convenient for ad-hoc ``jq``/pandas
 digestion.  Every record carries a ``schema`` tag
 (:data:`TELEMETRY_SCHEMA`) so downstream consumers can detect layout
 changes; the per-kind record formats are documented in DESIGN §10.
@@ -16,7 +17,6 @@ changes; the per-kind record formats are documented in DESIGN §10.
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.registry import TELEMETRY_SCHEMA, make_record
@@ -202,32 +202,3 @@ def jsonl_records(tel: "Telemetry") -> list[dict[str, Any]]:
             records.append(make_record(TELEMETRY_SCHEMA, "flow", **flow.as_dict()))
     return records
 
-
-class ChromeTraceExporter:
-    """Writes the Perfetto/``chrome://tracing``-loadable trace file."""
-
-    format = "chrome"
-    suffix = ".trace.json"
-
-    def export(self, tel: "Telemetry", path: str) -> str:
-        with open(path, "w") as fh:
-            json.dump(chrome_trace_dict(tel), fh)
-        return path
-
-
-class JSONLExporter:
-    """Writes one JSON object per line."""
-
-    format = "jsonl"
-    suffix = ".jsonl"
-
-    def export(self, tel: "Telemetry", path: str) -> str:
-        with open(path, "w") as fh:
-            for record in jsonl_records(tel):
-                fh.write(json.dumps(record))
-                fh.write("\n")
-        return path
-
-
-#: Registry of the built-in exporters, keyed by format name.
-EXPORTERS = {exp.format: exp for exp in (ChromeTraceExporter(), JSONLExporter())}

@@ -51,6 +51,7 @@ from contextlib import contextmanager
 from typing import Any, Callable
 
 from repro.obs.registry import HOSTPROF_SCHEMA, make_record
+from repro.obs.sinks import FileSink
 
 #: Chrome-trace process row for host-time data — far beyond any simulated
 #: rank pid, so a host trace merged next to a virtual trace cannot collide.
@@ -437,9 +438,12 @@ class HostProfiler:
         return records
 
     def write_jsonl(self, path: str) -> str:
-        with open(path, "w") as fh:
+        sink = FileSink(path, flush_each=False)
+        try:
             for record in self.jsonl_records():
-                fh.write(json.dumps(record) + "\n")
+                sink.emit(record)
+        finally:
+            sink.close()
         return str(path)
 
 

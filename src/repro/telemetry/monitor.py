@@ -19,12 +19,13 @@ and runs online detectors against the windows:
   ``blackboard``, …) owning more than a threshold share of all span time
   in the window.
 
-Alerts are plain frozen dataclasses stamped in virtual time.  They can be
-fanned out through an :class:`repro.analysis.alerts.AlertRouter` and — when
-a :class:`~repro.core.session.CouplingSession` is live — published as data
-entries onto the analyzer's blackboard, so the paper's knowledge-source
-engine analyzes the monitor's own event stream (the architecture eating its
-own dog food).
+Alerts are plain frozen dataclasses stamped in virtual time.  Every alert
+goes, in order, to the handlers registered with
+:meth:`HealthMonitor.subscribe` and — when a
+:class:`~repro.core.session.CouplingSession` is live — onto the analyzer's
+blackboard as a data entry, so the paper's knowledge-source engine
+analyzes the monitor's own event stream (the architecture eating its own
+dog food).
 
 The monitor is read-only with respect to the simulation: it never schedules
 events, so results are bit-identical with the monitor on or off.
@@ -172,7 +173,6 @@ class HealthMonitor:
         self,
         telemetry: Telemetry,
         config: MonitorConfig | None = None,
-        router: Any | None = None,
     ):
         if not telemetry.enabled:
             raise ConfigError(
@@ -180,7 +180,6 @@ class HealthMonitor:
             )
         self.tel = telemetry
         self.config = config or MonitorConfig()
-        self.router = router
         self.timeline = Timeline(
             telemetry, resolution=self.config.interval, capacity=self.config.capacity
         )
@@ -194,6 +193,7 @@ class HealthMonitor:
         # an emitted alert that has not cleared yet.
         self._firing: set[str] = set()
         self._active: dict[str, HealthAlert] = {}
+        self._subscribers: list[Callable[[HealthAlert], None]] = []
         self._publish: Callable[[HealthAlert], None] | None = None
         self._pending_publish: list[HealthAlert] = []
         self._hook: "PeriodicHook | None" = None
@@ -443,10 +443,17 @@ class HealthMonitor:
         self._active[kind] = alert
         return [alert]
 
+    def subscribe(self, handler: Callable[[HealthAlert], None]) -> None:
+        """Call ``handler(alert)`` for every alert as it fires, after the
+        handlers subscribed before it."""
+        if not callable(handler):
+            raise ConfigError("alert handler must be callable")
+        self._subscribers.append(handler)
+
     def _emit(self, alert: HealthAlert) -> None:
         self.alerts.append(alert)
-        if self.router is not None:
-            self.router.route(alert)
+        for handler in self._subscribers:
+            handler(alert)
         if self._publish is not None:
             self._publish(alert)
             self.published += 1
@@ -486,7 +493,7 @@ class HealthMonitor:
                 "rate": stats.get("rate", 0.0),
                 "points": [[t, v] for t, v in ts.decimated(8)],
             }
-        out = {
+        return {
             "ticks": self.ticks,
             "interval_s": cfg.interval,
             "window_s": cfg.window,
@@ -498,9 +505,3 @@ class HealthMonitor:
             "published_to_blackboard": self.published,
             "series": series,
         }
-        if self.router is not None:
-            out["router"] = {
-                "routed": self.router.routed,
-                "dropped": self.router.dropped,
-            }
-        return out

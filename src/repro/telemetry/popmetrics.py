@@ -46,9 +46,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ConfigError
+from repro.obs.registry import METRICS_SCHEMA, make_record
 from repro.telemetry.core import KERNEL_PID, Telemetry
 from repro.telemetry.timeline import Timeline
 
@@ -265,7 +266,7 @@ class PopMetricsEngine:
         self._totals: dict[str, dict[str, float]] = {}
         self._registry: dict[str, list["StreamingInstrumentation"]] | None = None
         self._prev: dict[str, tuple[float, float, float]] = {}
-        self._sinks: list[Any] = []
+        self._sinks: list[Callable[[dict[str, Any]], Any]] = []
         self._hook: "PeriodicHook | None" = None
         self._t_last = 0.0
         self._current: PhaseStats | None = None
@@ -274,11 +275,11 @@ class PopMetricsEngine:
 
     # -- wiring -------------------------------------------------------------------
 
-    def add_sink(self, sink: Any) -> Any:
-        """Register a sink (``on_window`` required; ``on_phase`` /
-        ``on_run_summary`` optional)."""
-        if not hasattr(sink, "on_window"):
-            raise ConfigError(f"metrics sink {sink!r} lacks an on_window method")
+    def add_sink(self, sink: Callable[[dict[str, Any]], Any]) -> Any:
+        """Register a record callable: it receives every ``window``,
+        ``phase`` and ``run_summary`` record, in emission order."""
+        if not callable(sink):
+            raise ConfigError(f"metrics sink {sink!r} must be callable")
         self._sinks.append(sink)
         return sink
 
@@ -338,11 +339,7 @@ class PopMetricsEngine:
         if current is not None:
             self._seal_phase(current)
             self._current = None
-        summary = self.summary()
-        for sink in self._sinks:
-            hook = getattr(sink, "on_run_summary", None)
-            if hook is not None:
-                hook(summary)
+        self._publish("run_summary", self.summary())
 
     def _interceptors(self):
         if not self._registry:
@@ -401,9 +398,7 @@ class PopMetricsEngine:
         for name in METRIC_KEYS:
             self.tel.gauge(GAUGE_PREFIX + name, pid=KERNEL_PID).set(metrics[name])
         self._detect_phase(window)
-        payload = window.as_dict()
-        for sink in self._sinks:
-            sink.on_window(payload)
+        self._publish("window", window.as_dict())
 
     def _stream_health(self, t0: float, t1: float) -> dict[str, float]:
         dt = t1 - t0
@@ -472,11 +467,13 @@ class PopMetricsEngine:
             return
         phase.index = len(self.phases)
         self.phases.append(phase)
-        payload = phase.as_dict()
+        self._publish("phase", phase.as_dict())
+
+    def _publish(self, kind: str, payload: dict[str, Any]) -> None:
+        """Build one ``repro.pop-metrics/1`` record and hand it to every sink."""
+        record = make_record(METRICS_SCHEMA, kind, **payload)
         for sink in self._sinks:
-            hook = getattr(sink, "on_phase", None)
-            if hook is not None:
-                hook(payload)
+            sink(record)
 
     # -- presentation -------------------------------------------------------------
 

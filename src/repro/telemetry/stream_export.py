@@ -1,13 +1,15 @@
-"""Incremental NDJSON export of the online efficiency-metrics stream.
+"""Reading the online efficiency-metrics NDJSON stream.
 
 A visual-analytics frontend (or the future analyzer service) cannot wait
 for teardown: it tails a file and renders windows as they close.  The
-:class:`MetricsStreamWriter` is a :class:`~repro.telemetry.popmetrics.
-PopMetricsEngine` sink that appends one schema-versioned JSON object per
-line — and flushes after every record — the moment each virtual-time
-window (or detected phase, or the final run summary) is sealed, so
+:class:`~repro.telemetry.popmetrics.PopMetricsEngine` builds each
+schema-versioned record once and hands it to its sinks; with
+``CouplingSession.enable_pop_metrics(stream=path)`` one of them is a
+:class:`~repro.obs.sinks.FileSink` that appends one JSON object per line
+and flushes after every record, the moment each virtual-time window (or
+detected phase, or the final run summary) is sealed, so
 
-    tail -f session.ndjson | jq -c 'select(.kind == "window")'
+    python -m repro.obs tail session.ndjson --follow --kind window
 
 shows efficiency evolving *during* the simulation, in emission order:
 ``window`` records as windows close, a ``phase`` record whenever the
@@ -20,17 +22,15 @@ matching loader/validator.
 
 from __future__ import annotations
 
-import json
-from typing import IO, Any, Iterator
+from typing import Any, Iterator
 
 from repro.errors import ConfigError
 from repro.obs.archive import iter_ndjson
-from repro.obs.registry import METRICS_KINDS, METRICS_SCHEMA, make_record
+from repro.obs.registry import METRICS_KINDS, METRICS_SCHEMA
 
 __all__ = [
     "METRICS_SCHEMA",
     "STREAM_KINDS",
-    "MetricsStreamWriter",
     "iter_metrics_stream",
     "read_metrics_stream",
 ]
@@ -39,57 +39,6 @@ __all__ = [
 #: set lives in the schema registry, :mod:`repro.obs.registry`)
 STREAM_KINDS = ("window", "phase", "run_summary")
 assert frozenset(STREAM_KINDS) == METRICS_KINDS
-
-
-class MetricsStreamWriter:
-    """Engine sink that streams NDJSON records as they are produced.
-
-    ``target`` is a path (opened/truncated immediately, closed by
-    :meth:`close`) or an already-open text file object (caller keeps
-    ownership).  Records are flushed line by line, never buffered to
-    teardown — the whole point of the streaming export.
-    """
-
-    def __init__(self, target: str | IO[str]):
-        if hasattr(target, "write"):
-            self._fh: IO[str] = target
-            self._owns = False
-            self.path = getattr(target, "name", None)
-        else:
-            self._fh = open(target, "w")
-            self._owns = True
-            self.path = str(target)
-        self.records_written = 0
-        self._closed = False
-
-    # -- engine sink protocol -----------------------------------------------------
-
-    def on_window(self, window: dict[str, Any]) -> None:
-        self._emit("window", window)
-
-    def on_phase(self, phase: dict[str, Any]) -> None:
-        self._emit("phase", phase)
-
-    def on_run_summary(self, summary: dict[str, Any]) -> None:
-        self._emit("run_summary", summary)
-
-    # -- plumbing -----------------------------------------------------------------
-
-    def _emit(self, kind: str, payload: dict[str, Any]) -> None:
-        if self._closed:
-            raise ConfigError("metrics stream writer is closed")
-        record = make_record(METRICS_SCHEMA, kind, **payload)
-        self._fh.write(json.dumps(record))
-        self._fh.write("\n")
-        self._fh.flush()
-        self.records_written += 1
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._owns:
-            self._fh.close()
 
 
 def _validate_stream_record(path: str, offset: int, record: Any) -> dict[str, Any]:

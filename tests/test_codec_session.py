@@ -196,3 +196,15 @@ def test_packdump_renders_a_real_pack():
     assert "codec chain: delta+dict+zlib" in text
     assert "crc32:" in text and "OK" in text
     assert "PAYLOAD" in text and "CODEC" in text
+
+
+def test_packdump_reports_retired_v1_packs_as_unknown():
+    import struct
+    import zlib
+
+    # A well-formed retired v1 pack: EVNT header, no records, CRC trailer.
+    header = struct.pack("<IHHII", 0x45564E54, 1, 0, 5, 0)
+    blob = header + struct.pack("<I", zlib.crc32(header))
+    text = dump(blob)
+    assert "format: unknown (leading magic 0x45564e54)" in text
+    assert "v1" not in text

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.analysis.alerts import AlertRouter
 from repro.apps.eulermhd import EulerMHD
 from repro.core.session import CouplingSession
 from repro.errors import ConfigError, SimulationError
@@ -307,16 +306,47 @@ class TestDetectors:
         assert "counter.stream.eagain_returns" in summary["series"]
 
 
+class TestSubscribers:
+    def make(self):
+        tel = Telemetry()
+        kernel = Kernel(telemetry=tel)
+        monitor = HealthMonitor(
+            tel, config=MonitorConfig(interval=0.05, window=0.25,
+                                      eagain_rate_threshold=1.0)
+        )
+        return tel, kernel, monitor
+
+    def test_subscribe_rejects_non_callable(self):
+        _, _, monitor = self.make()
+        with pytest.raises(ConfigError):
+            monitor.subscribe("not-callable")
+
+    def test_subscribers_called_in_order_for_every_alert(self):
+        tel, kernel, monitor = self.make()
+        calls = []
+        monitor.subscribe(lambda alert: calls.append(("first", alert)))
+        monitor.subscribe(lambda alert: calls.append(("second", alert)))
+        eagain = tel.counter("stream.eagain_returns")
+        _run_with_load(kernel, monitor, lambda now: eagain.inc(10))
+        assert monitor.alerts
+        expected = []
+        for alert in monitor.alerts:
+            expected += [("first", alert), ("second", alert)]
+        assert calls == expected
+
+
 # -- session integration --------------------------------------------------------------
 
 
-def _session(with_monitor, seed=3, router=None, config=None):
+def _session(with_monitor, seed=3, subscriber=None, config=None):
     tel = Telemetry()
     session = CouplingSession(seed=seed, telemetry=tel)
     session.add_application(EulerMHD(8, grid=256, iterations=4), name="mhd")
     session.set_analyzer(nprocs=2)
     if with_monitor:
-        session.enable_monitor(config=config, router=router)
+        monitor = session.enable_monitor(config=config)
+        if subscriber is not None:
+            monitor.subscribe(subscriber)
     return session.run()
 
 
@@ -354,14 +384,12 @@ class TestSessionIntegration:
         rendered = result.report.render()
         assert "## Health (online monitor)" in rendered
 
-    def test_router_sees_alerts_live(self):
-        router = AlertRouter()
+    def test_subscribers_see_alerts_live(self):
         live = []
-        router.subscribe(live.append)
         # Tight thresholds so something certainly fires.
         result = _session(
             True,
-            router=router,
+            subscriber=live.append,
             config=MonitorConfig(
                 interval=1e-4, window=5e-4, critical_path_share=0.01
             ),

@@ -94,6 +94,38 @@ def test_other_modules_may_call_bytes(tmp_path):
     assert check_tree(tmp_path) == []
 
 
+def test_flags_ndjson_writes_outside_obs(tmp_path):
+    _write(
+        tmp_path,
+        "repro/telemetry/rogue.py",
+        "import json\n"
+        "\n"
+        "def dump(fh, records):\n"
+        "    for r in records:\n"
+        "        fh.write(json.dumps(r))\n"
+        "        fh.write(json.dumps(r) + '\\n')\n"
+        "    fh.write('plain text')\n"
+        "    json.dump(records, fh)\n",
+    )
+    problems = check_tree(tmp_path)
+    # Both record-per-line shapes are flagged; plain writes and a single
+    # json.dump document (a Chrome trace) are not.
+    assert [p.split(": ")[0] for p in problems] == [
+        "repro/telemetry/rogue.py:5",
+        "repro/telemetry/rogue.py:6",
+    ]
+    assert all("FileSink" in p for p in problems)
+
+
+def test_obs_package_may_write_ndjson(tmp_path):
+    _write(
+        tmp_path,
+        "repro/obs/__main__.py",
+        "import json, sys\n\ndef out(r):\n    sys.stdout.write(json.dumps(r))\n",
+    )
+    assert check_tree(tmp_path) == []
+
+
 def test_cli_exit_one_on_violation(tmp_path):
     _write(tmp_path, "repro/app.py", "import time\nT = time.perf_counter()\n")
     result = subprocess.run(

@@ -140,18 +140,37 @@ class TestBus:
 
 class TestFileSink:
     def test_bytes_identical_to_legacy_writer(self, tmp_path):
-        from repro.telemetry.stream_export import MetricsStreamWriter
+        """The engine's ``stream=`` file and a bus file sink fed by the
+        same engine hold the same pop-metrics bytes."""
+        from repro.simt import Kernel
+        from repro.telemetry import Telemetry
+        from repro.telemetry.popmetrics import PopConfig, PopMetricsEngine
 
-        legacy_path = tmp_path / "legacy.ndjson"
-        sink_path = tmp_path / "sink.ndjson"
-        writer = MetricsStreamWriter(str(legacy_path))
-        sink = FileSink(str(sink_path))
-        payload = {"t0": 0.0, "t1": 0.5, "pe": 0.9}
-        writer.on_window(dict(payload))
-        sink.emit(make_record(METRICS_SCHEMA, "window", **payload))
-        writer.close()
-        sink.close()
-        assert legacy_path.read_bytes() == sink_path.read_bytes()
+        stream_path = tmp_path / "stream.ndjson"
+        bus_path = tmp_path / "bus.ndjson"
+        tel = Telemetry()
+        kernel = Kernel(telemetry=tel)
+        engine = PopMetricsEngine(tel, PopConfig(window=0.01))
+        stream = FileSink(str(stream_path))
+        engine.add_sink(stream.emit)
+        bus = ObservabilityBus()
+        bus.add_sink(FileSink(str(bus_path)))
+        # A line of another schema, which the comparison must filter out.
+        bus.publish(make_record(HEALTH_SCHEMA, "stream_stall", t_detect=0.0))
+        engine.add_sink(bus.publish)
+        engine.attach(kernel)
+        kernel.timeout(0.035)
+        kernel.run()
+        engine.finalize(kernel.now)
+        stream.close()
+        bus.close()
+        bus_metric_lines = b"".join(
+            line
+            for line in bus_path.read_bytes().splitlines(keepends=True)
+            if json.loads(line)["schema"] == METRICS_SCHEMA
+        )
+        assert stream_path.read_bytes().count(b"\n") == 6  # 4 windows, phase, summary
+        assert bus_metric_lines == stream_path.read_bytes()
 
     def test_emit_after_close_raises(self, tmp_path):
         sink = FileSink(str(tmp_path / "out.ndjson"))

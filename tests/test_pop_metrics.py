@@ -12,6 +12,7 @@ from repro.apps.base import AppKernel
 from repro.apps.nas import SP
 from repro.core.session import CouplingSession
 from repro.errors import ConfigError, SimulationError
+from repro.obs import FileSink
 from repro.simt.kernel import Kernel
 from repro.telemetry import Telemetry
 from repro.telemetry.popmetrics import (
@@ -23,7 +24,6 @@ from repro.telemetry.popmetrics import (
 )
 from repro.telemetry.stream_export import (
     METRICS_SCHEMA,
-    MetricsStreamWriter,
     iter_metrics_stream,
     read_metrics_stream,
 )
@@ -117,14 +117,10 @@ def test_double_enable_and_double_attach_error():
         PopMetricsEngine(Telemetry()).attach(kernel)
 
 
-def test_sink_requires_on_window():
+def test_sink_must_be_callable():
     engine = PopMetricsEngine(Telemetry())
-
-    class Bad:
-        pass
-
     with pytest.raises(ConfigError):
-        engine.add_sink(Bad())
+        engine.add_sink(object())
 
 
 # -- the metric math ---------------------------------------------------------------
@@ -340,22 +336,26 @@ def test_attach_aligns_to_window_grid():
 def test_ndjson_streams_incrementally(tmp_path):
     """Records hit the file as windows close, not at teardown."""
     path = tmp_path / "metrics.ndjson"
-    writer = MetricsStreamWriter(str(path))
-    writer.on_window({"index": 0, "t0": 0.0, "t1": 0.01})
+    tel = Telemetry()
+    kernel = Kernel(telemetry=tel)
+    engine = PopMetricsEngine(tel, PopConfig(window=0.01))
+    sink = FileSink(str(path))
+    engine.add_sink(sink.emit)
+    engine.attach(kernel)
+    kernel.timeout(0.015)
+    kernel.run()
     # Readable immediately, before close: the streaming contract.
     first = path.read_text().strip().splitlines()
     assert len(first) == 1
     rec = json.loads(first[0])
     assert rec["schema"] == METRICS_SCHEMA
     assert rec["kind"] == "window"
-    writer.on_phase({"index": 0})
-    writer.on_run_summary({"windows": 1})
-    writer.close()
-    writer.close()  # idempotent
-    with pytest.raises(ConfigError):
-        writer.on_window({})
+    engine.finalize(kernel.now)
+    sink.close()
     records = read_metrics_stream(str(path))
-    assert [r["kind"] for r in records] == ["window", "phase", "run_summary"]
+    assert [r["kind"] for r in records] == [
+        "window", "window", "phase", "run_summary",
+    ]
 
 
 def test_ndjson_rejects_foreign_schema(tmp_path):

@@ -1,10 +1,10 @@
 """Adaptive steering: policies, the controller's control loop, bench gates."""
 
 import dataclasses
+import json
 
 import pytest
 
-from repro.analysis.alerts import AlertRouter
 from repro.apps.nas import SP
 from repro.bench.steering import bench_policy, steering_adaptation
 from repro.codec.frame import parse_frame
@@ -17,6 +17,7 @@ from repro.instrument.overhead import InstrumentationCost
 from repro.mpi.costmodel import CostModel
 from repro.mpi.pmpi import CallRecord
 from repro.network.machine import TERA100
+from repro.obs import HEALTH_SCHEMA, STEERING_SCHEMA
 from repro.simt import Kernel
 from repro.steering import (
     ESCALATE_REDUCTION,
@@ -129,15 +130,15 @@ def make_rig(policy, initial_chain="", interceptors=2):
     kernel = Kernel(telemetry=tel)
     world = FakeWorld(kernel, tel)
     monitor = HealthMonitor(tel, config=MonitorConfig(interval=0.05, window=0.25))
-    monitor.router = AlertRouter()
     controller = SteeringController(policy)
     registry = {"app": [FakeInterceptor() for _ in range(interceptors)]}
     controller.attach(world, monitor, registry, initial_chain=initial_chain)
-    return controller, world, monitor.router, registry
+    return controller, world, monitor, registry
 
 
-def drive(kernel, router, script, until):
-    """Advance virtual time, routing each scripted alert at its timestamp."""
+def drive(kernel, monitor, script, until):
+    """Advance virtual time, emitting each scripted alert through the
+    monitor's subscriber list at its timestamp."""
 
     def proc(k):
         t = 0.0
@@ -145,7 +146,7 @@ def drive(kernel, router, script, until):
             if at > t:
                 yield k.timeout(at - t)
                 t = at
-            router.route(alert)
+            monitor._emit(alert)
         if until > t:
             yield k.timeout(until - t)
 
@@ -173,19 +174,10 @@ def escalate_policy(**overrides):
 
 
 class TestControllerWiring:
-    def test_attach_requires_router(self):
-        tel = Telemetry()
-        monitor = HealthMonitor(tel, config=MonitorConfig(interval=0.05, window=0.25))
-        monitor.router = None
-        controller = SteeringController()
-        with pytest.raises(ConfigError):
-            controller.attach(FakeWorld(Kernel(telemetry=tel), tel), monitor, {})
-
     def test_double_attach_rejected(self):
-        controller, world, router, _ = make_rig(escalate_policy())
+        controller, world, _, _ = make_rig(escalate_policy())
         tel = world.telemetry
         monitor = HealthMonitor(tel, config=MonitorConfig(interval=0.05, window=0.25))
-        monitor.router = router
         with pytest.raises(ConfigError):
             controller.attach(world, monitor, {})
 
@@ -194,8 +186,8 @@ class TestControllerWiring:
         assert world.steering is controller
 
     def test_foreign_alerts_ignored(self):
-        controller, world, router, registry = make_rig(escalate_policy())
-        drive(world.kernel, router,
+        controller, world, monitor, registry = make_rig(escalate_policy())
+        drive(world.kernel, monitor,
               [(0.1, FakeAlert("stream_stall", 0.1, source=""))], until=0.2)
         assert controller.alerts_seen == 0
         assert controller.decisions == []
@@ -204,8 +196,8 @@ class TestControllerWiring:
 
 class TestEscalation:
     def test_alert_steps_every_interceptor_up_the_ladder(self):
-        controller, world, router, registry = make_rig(escalate_policy())
-        drive(world.kernel, router, [
+        controller, world, monitor, registry = make_rig(escalate_policy())
+        drive(world.kernel, monitor, [
             (0.10, FakeAlert("stream_stall", 0.10)),
             (0.12, FakeAlert("stream_stall", 0.12)),  # inside cooldown
             (0.20, FakeAlert("stream_stall", 0.20)),
@@ -222,18 +214,18 @@ class TestEscalation:
         assert d0.detail["writers"] == 2
 
     def test_disabled_reduction_never_switches(self):
-        controller, world, router, registry = make_rig(
+        controller, world, monitor, registry = make_rig(
             escalate_policy(enable_reduction=False, enable_autoscale=False))
-        drive(world.kernel, router,
+        drive(world.kernel, monitor,
               [(0.1, FakeAlert("stream_stall", 0.1))], until=0.3)
         assert controller.decisions == []
         assert registry["app"][0].specs == []
         assert controller.alerts_seen == 1
 
     def test_baseline_mid_ladder_relaxes_back_to_baseline(self):
-        controller, world, router, registry = make_rig(
+        controller, world, monitor, registry = make_rig(
             escalate_policy(), initial_chain="delta+dict")
-        drive(world.kernel, router, [
+        drive(world.kernel, monitor, [
             (0.10, FakeAlert("stream_write_timeout", 0.10)),
         ], until=1.0)
         # Escalated one level above the baseline, then relaxed back to it —
@@ -246,8 +238,8 @@ class TestEscalation:
 
 class TestHysteresis:
     def test_windowed_congestion_blocks_relax_until_cleared(self):
-        controller, world, router, _ = make_rig(escalate_policy())
-        drive(world.kernel, router, [
+        controller, world, monitor, _ = make_rig(escalate_policy())
+        drive(world.kernel, monitor, [
             (0.10, FakeAlert("stream_stall", 0.10)),
             (0.60, FakeAlert("stream_stall.cleared", 0.60)),
         ], until=1.2)
@@ -260,8 +252,8 @@ class TestHysteresis:
     def test_fault_kind_trigger_relaxes_by_timer_alone(self):
         # stream_write_timeout is a cumulative fault kind: no paired
         # .cleared event exists, so quiescence is purely relax_after_s.
-        controller, world, router, _ = make_rig(escalate_policy())
-        drive(world.kernel, router, [
+        controller, world, monitor, _ = make_rig(escalate_policy())
+        drive(world.kernel, monitor, [
             (0.10, FakeAlert("stream_write_timeout", 0.10)),
         ], until=0.6)
         relaxes = [d for d in controller.decisions if d.action == RELAX_REDUCTION]
@@ -269,8 +261,8 @@ class TestHysteresis:
         assert 0.35 <= relaxes[0].t <= 0.45
 
     def test_relax_steps_are_cooldown_spaced(self):
-        controller, world, router, _ = make_rig(escalate_policy())
-        drive(world.kernel, router, [
+        controller, world, monitor, _ = make_rig(escalate_policy())
+        drive(world.kernel, monitor, [
             (0.05, FakeAlert("stream_write_timeout", 0.05)),
             (0.15, FakeAlert("stream_write_timeout", 0.15)),  # level 2
         ], until=1.0)
@@ -282,9 +274,9 @@ class TestHysteresis:
 
 class TestAutoscale:
     def test_scale_up_doubles_to_the_cap_then_back_down(self):
-        controller, world, router, _ = make_rig(escalate_policy(
+        controller, world, monitor, _ = make_rig(escalate_policy(
             enable_reduction=False, max_workers=4, worker_step=2))
-        drive(world.kernel, router, [
+        drive(world.kernel, monitor, [
             (0.10, FakeAlert("backlog_growth", 0.10)),
             (0.12, FakeAlert("backlog_growth", 0.12)),  # inside cooldown
             (0.25, FakeAlert("backlog_growth", 0.25)),
@@ -337,7 +329,7 @@ class TestRebalance:
         return make_rig(policy)
 
     def test_excess_fan_in_moves_to_underloaded_readers(self):
-        controller, world, router, _ = self.rig()
+        controller, world, monitor, _ = self.rig()
         r16, r17 = FakeReadStream(), FakeReadStream()
         writers = {g: FakeWriteStream(16) for g in range(4)}
         world.streams = [(16, r16), (17, r17)] + sorted(
@@ -353,7 +345,7 @@ class TestRebalance:
         assert writers[0].retargets == []
 
     def test_balanced_fan_in_records_no_decision(self):
-        controller, world, router, _ = self.rig()
+        controller, world, monitor, _ = self.rig()
         world.streams = [
             (16, FakeReadStream()), (17, FakeReadStream()),
             (0, FakeWriteStream(16)), (1, FakeWriteStream(17)),
@@ -362,7 +354,7 @@ class TestRebalance:
         assert controller.decisions == []
 
     def test_max_rebalances_caps_the_rounds(self):
-        controller, world, router, _ = self.rig(max_rebalances=1)
+        controller, world, monitor, _ = self.rig(max_rebalances=1)
         r16, r17 = FakeReadStream(), FakeReadStream()
         world.streams = [(16, r16), (17, r17)] + [
             (g, FakeWriteStream(16)) for g in range(4)]
@@ -374,7 +366,7 @@ class TestRebalance:
         assert len(controller.decisions) == 1
 
     def test_single_reader_is_left_alone(self):
-        controller, world, router, _ = self.rig()
+        controller, world, monitor, _ = self.rig()
         world.streams = [(16, FakeReadStream())] + [
             (g, FakeWriteStream(16)) for g in range(4)]
         controller.on_alert(FakeAlert("load_imbalance", 0.5))
@@ -461,7 +453,8 @@ class TestMidSessionChainSwitch:
 # -- end-to-end sessions: determinism and bit-identity --------------------------------
 
 
-def _steer_session(policy, *, plan=None, iterations=12, enable=True, seed=7):
+def _steer_session(policy, *, plan=None, iterations=12, enable=True, seed=7,
+                   obs_path=None):
     mach = dataclasses.replace(TERA100, cores_per_node=8)
     cost = dataclasses.replace(
         CostModel.for_machine(mach, ranks_per_node=8), eager_threshold=2048)
@@ -478,6 +471,8 @@ def _steer_session(policy, *, plan=None, iterations=12, enable=True, seed=7):
         session.enable_steering(policy)
     if plan is not None:
         session.inject_faults(plan)
+    if obs_path is not None:
+        session.enable_observability(obs_path)
     result = session.run()
     return result, name, session
 
@@ -520,6 +515,35 @@ class TestSessionIntegration:
         for d in decisions:
             assert d["trigger_kind"]
             assert d["t"] >= 0.0
+
+    def test_bus_file_pairs_each_decision_with_its_alert(self, healthy_anchor,
+                                                         tmp_path):
+        path = tmp_path / "run.ndjson"
+        _, _, session = _steer_session(
+            bench_policy(), plan=_congestion_plan(healthy_anchor),
+            obs_path=str(path))
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        health = [(i, r) for i, r in enumerate(records)
+                  if r["schema"] == HEALTH_SCHEMA]
+        decisions = [(i, r) for i, r in enumerate(records)
+                     if r["schema"] == STEERING_SCHEMA]
+        assert decisions
+        assert len(health) == len(session.monitor.alerts)
+        assert len(decisions) == len(session.steering.decisions)
+        for i, decision in decisions:
+            # A relax decision's trigger is the all-clear edge: the cleared
+            # alert at trigger_t, whatever its kind.
+            matches = [
+                j for j, alert in health
+                if alert["t_detect"] == decision["trigger_t"]
+                and decision["trigger_kind"] in (alert["kind"], QUIESCENCE)
+            ]
+            assert matches, decision
+            if decision["trigger_kind"] != QUIESCENCE:
+                # Steering subscribes before the bus tap, so the decision
+                # is on file before the alert that triggered it.
+                assert decision["t"] == decision["trigger_t"]
+                assert any(j > i for j in matches)
 
     def test_report_gains_a_steering_section(self, congested_adaptive):
         result, _, _ = congested_adaptive
