@@ -6,10 +6,10 @@ comments and strings never trip them:
 
 1. **Clock discipline** — ``time.perf_counter`` (and its ``_ns``
    variant) may only be referenced inside ``telemetry/hostprof.py``.
-   Every other module must go through the hostprof plane, otherwise its
-   timings escape the self-overhead accounting that the selfperf gate
-   budgets (<5%), and virtual-time code could silently couple to the
-   host clock.
+   Every other module reads wall time through ``host_now()``, so a test
+   can swap in a fake clock (``fake_host_clock``) and make every
+   host-time probe deterministic, and virtual-time code cannot silently
+   couple to the host clock.
 
 2. **Zero-copy decode paths** — the EVF2 decode-path functions in
    ``codec/frame.py`` (``parse_frame``, ``peek_header``,
@@ -64,7 +64,7 @@ WRITER_OWNER = Path("repro") / "obs"
 
 
 def _check_clock_discipline(tree: ast.AST, rel: Path) -> list[str]:
-    """Flag any reachable reference to time.perf_counter outside hostprof."""
+    """Flag any reachable reference to time.perf_counter outside hostprof.py."""
     problems = []
     for node in ast.walk(tree):
         if (
@@ -75,16 +75,15 @@ def _check_clock_discipline(tree: ast.AST, rel: Path) -> list[str]:
         ):
             problems.append(
                 f"{rel}:{node.lineno}: time.{node.attr} outside "
-                f"{CLOCK_OWNER} — route host timings through the "
-                "hostprof plane"
+                f"{CLOCK_OWNER} — read host time through host_now()"
             )
         elif isinstance(node, ast.ImportFrom) and node.module == "time":
             for alias in node.names:
                 if alias.name in CLOCK_NAMES:
                     problems.append(
                         f"{rel}:{node.lineno}: from time import "
-                        f"{alias.name} outside {CLOCK_OWNER} — route "
-                        "host timings through the hostprof plane"
+                        f"{alias.name} outside {CLOCK_OWNER} — read "
+                        "host time through host_now()"
                     )
     return problems
 

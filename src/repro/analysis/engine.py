@@ -39,7 +39,7 @@ from repro.analysis.waitstate import WaitState
 from repro.blackboard.multilevel import MultiLevelBlackboard
 from repro.instrument.packer import decode_pack, decode_pack_frame
 from repro.mpi.datatypes import ANY_SOURCE
-from repro.telemetry import NULL_TELEMETRY, Telemetry, hostprof, rank_pid
+from repro.telemetry import NULL_TELEMETRY, Telemetry, rank_pid
 from repro.telemetry.hostprof import host_now
 from repro.vmpi.mapping import MapPolicy, ROUND_ROBIN, VMPIMap, map_partitions
 from repro.vmpi.stream import BALANCE_ROUND_ROBIN, EOF, VMPIStream
@@ -227,8 +227,6 @@ class AnalyzerEngine:
         then read off the frame's recorded CRC state instead of walking
         the wire bytes a second time.
         """
-        hp = hostprof.ACTIVE
-        t_host = hp.now() if hp.enabled else 0.0
         try:
             if frame is None:
                 frame = parse_frame(pack_bytes)
@@ -266,10 +264,6 @@ class AnalyzerEngine:
         self.events_sampled_out += frame.events_dropped
         spec = frame.codec or "identity"
         self.codecs_seen[spec] = self.codecs_seen.get(spec, 0) + 1
-        if hp.enabled:
-            hp.timer("analysis.ingest").add(
-                hp.now() - t_host, items=1, nbytes=len(pack_bytes)
-            )
         return True
 
     # -- reduction --------------------------------------------------------------------

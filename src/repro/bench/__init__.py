@@ -23,7 +23,6 @@ from repro.bench.codec import CodecPoint, CodecResult, codec_reduction
 from repro.bench.flow import FlowPoint, FlowResult, flow_attribution
 from repro.bench.metrics import MetricsPoint, MetricsResult, metrics_timeline
 from repro.bench.obs import ObsResult, obs_roundtrip
-from repro.bench.selfperf import SelfPerfPoint, SelfPerfResult, selfperf_sweep
 from repro.bench.steering import (
     SteeringBenchPoint,
     SteeringBenchResult,
@@ -69,9 +68,6 @@ __all__ = [
     "metrics_timeline",
     "ObsResult",
     "obs_roundtrip",
-    "SelfPerfPoint",
-    "SelfPerfResult",
-    "selfperf_sweep",
     "SteeringBenchPoint",
     "SteeringBenchResult",
     "bench_policy",

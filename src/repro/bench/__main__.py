@@ -15,7 +15,6 @@ Usage::
     python -m repro.bench flow
     python -m repro.bench metrics
     python -m repro.bench obs
-    python -m repro.bench selfperf
     python -m repro.bench steering
     python -m repro.bench all
     python -m repro.bench compare BASELINE.json CANDIDATE.json [--tolerance T]
@@ -33,7 +32,6 @@ the self-telemetry summary in the JSON, and dumps
 ``BENCH_<name>.trace.json`` — a Chrome trace-event file loadable in
 Perfetto or ``chrome://tracing``.  ``metrics --json`` also streams
 ``BENCH_metrics.ndjson``, the incremental NDJSON window/phase export;
-``selfperf --json`` dumps the host profiler's Chrome trace and JSONL;
 ``steering --json`` dumps the adaptive run's decision log.
 ``--profile`` wraps the driver in ``cProfile``, prints a top-N hotspot
 table and dumps ``BENCH_<name>.pstats`` for ``snakeviz``/``pstats``.
@@ -68,7 +66,6 @@ from repro.bench import (
     fs_comparison_table,
     metrics_timeline,
     obs_roundtrip,
-    selfperf_sweep,
     steering_adaptation,
     trace_size_table,
 )
@@ -91,7 +88,6 @@ _DRIVERS = {
     "flow": flow_attribution,
     "metrics": metrics_timeline,
     "obs": obs_roundtrip,
-    "selfperf": selfperf_sweep,
     "steering": steering_adaptation,
 }
 
@@ -262,8 +258,6 @@ def main(argv: list[str] | None = None) -> int:
             kwargs["ndjson_dir"] = str(outdir)
         if name == "obs" and args.json:
             kwargs["ndjson_dir"] = str(outdir)
-        if name == "selfperf" and args.json:
-            kwargs["trace_dir"] = str(outdir)
         if name == "steering" and args.json:
             kwargs["decisions_dir"] = str(outdir)
         stem = name.replace("-", "_")
@@ -300,9 +294,6 @@ def main(argv: list[str] | None = None) -> int:
                 trace_path = outdir / f"BENCH_{stem}.trace.json"
                 telemetry.write_chrome_trace(trace_path)
                 print(f"[{name}: Chrome trace -> {trace_path}]")
-            if name == "selfperf":
-                payload["hostprof"] = result.profile
-                payload["overhead_ratio"] = result.overhead_ratio
             if name == "obs":
                 payload["bus"] = result.bus
                 payload["overhead_ratio"] = result.overhead_ratio

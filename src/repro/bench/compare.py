@@ -200,10 +200,9 @@ def _environment_warnings(
 
     Wall-clock-derived columns (throughputs, elapsed times) are only
     apples-to-apples on the same interpreter/platform/CPU budget, so any
-    mismatch in the ``host`` headers (stamped by ``--json`` runs since the
-    hostprof plane landed) is surfaced — but a slower runner is not a code
-    regression, so warnings never fail the gate.  Artefacts predating the
-    header compare silently.
+    mismatch in the ``host`` headers (stamped by every ``--json`` run) is
+    surfaced — but a slower runner is not a code regression, so warnings
+    never fail the gate.  Artefacts predating the header compare silently.
     """
     b_host, c_host = baseline.get("host"), candidate.get("host")
     if not isinstance(b_host, dict) or not isinstance(c_host, dict):
@@ -223,10 +222,10 @@ def _schema_warnings(baseline: dict[str, Any]) -> list[str]:
     """Baseline records stamped with schema tags the registry no longer knows.
 
     A baseline artefact may embed observability records (the obs lane's
-    per-schema counts, hostprof summaries, ...).  If one carries a
-    ``schema`` tag that has since been dropped or bumped, the comparison
-    is likely stale rather than regressed — warn, never fail, and let the
-    owner re-record the baseline.  Only version-shaped tags
+    per-schema counts, the retired ``repro.hostprof/1`` summaries, ...).
+    If one carries a ``schema`` tag that has since been dropped or bumped,
+    the comparison is likely stale rather than regressed — warn, never
+    fail, and let the owner re-record the baseline.  Only version-shaped tags
     (``family/version``) are considered; other ``"schema"`` keys are not
     record tags.
     """

@@ -16,8 +16,7 @@ it reports anything:
   match each plane's own totals (telemetry records, monitor alerts,
   steering decisions, metrics stream lines);
 * **host overhead** — paired hub-off/hub-on runs, best-of-N minimum pair
-  ratio below ``overhead_budget`` (default 5%), the same
-  noise-robust gate the selfperf lane uses.
+  ratio below ``overhead_budget`` (default 5%), a noise-robust gate.
 
 Any gate failure raises :class:`~repro.errors.ConfigError`, so *running
 the lane is the test*.  ``ndjson_dir`` (set by ``--json``) keeps the
@@ -44,7 +43,8 @@ from repro.obs.registry import (
     STEERING_SCHEMA,
     TELEMETRY_SCHEMA,
 )
-from repro.telemetry import Telemetry, hostprof
+from repro.telemetry import Telemetry
+from repro.telemetry.hostprof import host_environment, host_now
 from repro.telemetry.export import jsonl_records
 from repro.telemetry.popmetrics import PopConfig
 from repro.util.tables import Table
@@ -109,9 +109,9 @@ def _run_once(
     unified = workdir / f"unified_{tag}.ndjson"
     if with_bus:
         session.enable_observability(str(unified))
-    t0 = hostprof.host_now()
+    t0 = host_now()
     run = session.run()
-    wall = hostprof.host_now() - t0
+    wall = host_now() - t0
     return session, run, run.app(name), wall, stream, unified
 
 
@@ -139,7 +139,7 @@ def obs_roundtrip(
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     result = ObsResult(
         machine=machine.name, scale=scale, seed=seed,
-        host=hostprof.host_environment(), overhead_budget=overhead_budget,
+        host=host_environment(), overhead_budget=overhead_budget,
     )
     with tempfile.TemporaryDirectory(prefix="bench_obs_") as tmp:
         workdir = Path(tmp)
@@ -196,9 +196,9 @@ def obs_roundtrip(
         result.bus = summary
 
         # -- gate 4: host overhead, best-of-N paired runs ----------------------
-        # Same rationale as the selfperf lane: ~second-long runs swing with
-        # scheduler noise, so each hub-off run is paired with an adjacent
-        # hub-on run and the gate takes the minimum pair ratio.  The
+        # Second-long runs swing with scheduler noise, so each hub-off run
+        # is paired with an adjacent hub-on run and the gate takes the
+        # minimum pair ratio.  The
         # hot-path refactor roughly halved the base wall time, so the same
         # absolute jitter is now a larger relative swing — eight pairs
         # (was five) keep the minimum a reliable noise floor.

@@ -53,7 +53,6 @@ from repro.errors import (
     PackFormatError,
     SectionLengthError,
 )
-from repro.telemetry import hostprof
 
 FRAME_MAGIC = 0x45564632  # "EVF2"
 FRAME_VERSION = 2
@@ -279,8 +278,6 @@ def build_frame(
         raise PackFormatError(f"app_id {app_id} outside u16")
     if not (0 <= rank < 2**32):
         raise PackFormatError(f"rank {rank} outside u32")
-    hp = hostprof.ACTIVE
-    t_host = hp.now() if hp.enabled else 0.0
     frame = Frame(app_id=app_id, rank=rank, count=count, flags=flags)
     sections = frame.sections
     sections.append((SEC_PAYLOAD, bytes(payload)))
@@ -290,10 +287,7 @@ def build_frame(
         sections.append((SEC_SAMPLING, _SAMPLING_STRUCT.pack(events_dropped)))
     if provenance is not None:
         frame.with_provenance(provenance)
-    blob = frame.to_bytes()
-    if hp.enabled:
-        hp.timer("frame.emit").add(hp.now() - t_host, nbytes=len(blob))
-    return blob
+    return frame.to_bytes()
 
 
 def parse_frame(blob, verify: bool = True) -> Frame:
@@ -309,8 +303,6 @@ def parse_frame(blob, verify: bool = True) -> Frame:
     Section bodies are zero-copy ``memoryview`` slices of ``blob``; see
     the module docstring for the lifetime contract.
     """
-    hp = hostprof.ACTIVE
-    t_host = hp.now() if hp.enabled else 0.0
     try:
         view = memoryview(blob)
     except TypeError:
@@ -381,8 +373,6 @@ def parse_frame(blob, verify: bool = True) -> Frame:
                 f"pack checksum mismatch: stored {frame.stored_crc:#010x}, "
                 f"computed {computed:#010x}"
             )
-    if hp.enabled:
-        hp.timer("frame.parse").add(hp.now() - t_host, nbytes=total)
     return frame
 
 

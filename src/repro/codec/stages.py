@@ -34,7 +34,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.errors import ConfigError, PackFormatError, UnknownCodecError
-from repro.telemetry import hostprof
 
 RECORD_SIZE = 40  # matches instrument.events.EVENT_RECORD_SIZE (asserted there)
 _SITE_BYTES = 24  # the non-temporal record prefix ("call site")
@@ -548,8 +547,6 @@ class CodecChain:
                 f"record batch of {len(records)} bytes is not a multiple of "
                 f"{RECORD_SIZE}"
             )
-        hp = hostprof.ACTIVE
-        t_host = hp.now() if hp.enabled else 0.0
         ctx = CodecContext(now=now)
         data = bytes(records)
         for stage in self._phase0:
@@ -564,9 +561,6 @@ class CodecChain:
             data = col.serialize()
         for stage in self._phase2:
             data = stage.encode_bytes(data, ctx)
-        if hp.enabled:
-            # MB/s over the *content* bytes in: the work the chain absorbed.
-            hp.timer("codec.encode").add(hp.now() - t_host, nbytes=len(records))
         return EncodeResult(
             payload=data,
             count=count,
@@ -576,8 +570,6 @@ class CodecChain:
 
     def decode(self, payload: bytes, count: int) -> bytes:
         """Invert :meth:`encode`: payload bytes back to fixed-width records."""
-        hp = hostprof.ACTIVE
-        t_host = hp.now() if hp.enabled else 0.0
         # Zero-copy entry: ``payload`` may be a memoryview straight out of
         # parse_frame; every stage accepts buffer objects, and the identity
         # chain hands the view back uncopied.
@@ -601,9 +593,6 @@ class CodecChain:
             )
         for stage in reversed(self._phase0):
             data = stage.decode_records(data)
-        if hp.enabled:
-            # MB/s over the content bytes out: symmetric with encode.
-            hp.timer("codec.decode").add(hp.now() - t_host, nbytes=len(data))
         return data
 
 

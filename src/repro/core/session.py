@@ -33,7 +33,6 @@ from repro.obs.registry import HEALTH_SCHEMA, STEERING_SCHEMA, make_record
 from repro.obs.sinks import FileSink, RingSink, TailServer
 from repro.steering import SteeringController, SteeringPolicy
 from repro.telemetry import FlowRegistry, NULL_TELEMETRY, Telemetry
-from repro.telemetry import hostprof as _hostprof
 from repro.telemetry.export import jsonl_records as _telemetry_records
 from repro.telemetry.monitor import HealthMonitor, MonitorConfig
 from repro.telemetry.popmetrics import PopConfig, PopMetricsEngine
@@ -301,8 +300,8 @@ class CouplingSession:
         Every enabled plane publishes its schema-tagged records onto one
         :class:`~repro.obs.bus.ObservabilityBus`: POP metric windows,
         phases and the run summary *as they seal*, health alerts and
-        steering decisions *as they fire*, and the telemetry/hostprof
-        record dumps at teardown.  Sinks:
+        steering decisions *as they fire*, and the telemetry record dump
+        at teardown.  Sinks:
 
         * ``path`` — an NDJSON :class:`~repro.obs.sinks.FileSink` whose
           byte stream for any single schema is identical to that plane's
@@ -424,8 +423,6 @@ class CouplingSession:
             return None
         if self.telemetry.enabled:
             self._obs.publish_all(_telemetry_records(self.telemetry))
-        if _hostprof.ACTIVE.enabled:
-            self._obs.publish_all(_hostprof.ACTIVE.jsonl_records())
         summary = self._obs.summary()
         self._obs.close()
         if result_report is not None:

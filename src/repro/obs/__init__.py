@@ -1,13 +1,13 @@
 """Unified observability bus: one streaming record plane for the system.
 
-The reproduction grew five observability planes PR by PR — virtual-time
-telemetry JSONL, host-time profiling, the POP efficiency NDJSON stream,
-health alerts, steering decisions — each with its own schema tag, writer
-and file format.  This package gives them a single in-situ feed, in the
-spirit of the paper's own thesis (measurements as online streams, not
-post-mortem files):
+The reproduction grew four record planes one at a time — virtual-time
+telemetry JSONL, the POP efficiency NDJSON stream, health alerts, steering
+decisions — each with its own schema tag, writer and file format.  This
+package gives them a single in-situ feed, in the spirit of the paper's own
+thesis (measurements as online streams, not post-mortem files).  Host time
+is not a record plane: ``perfbench/`` attributes it from outside.
 
-* :mod:`repro.obs.registry` — the central schema registry (all five
+* :mod:`repro.obs.registry` — the central schema registry (all four
   ``schema`` tags and their kind sets) plus :func:`make_record`, the one
   record-assembly point;
 * :mod:`repro.obs.bus` — :class:`ObservabilityBus`, validate-on-publish
@@ -31,7 +31,6 @@ from repro.obs.archive import ArchiveScan, iter_archive, iter_ndjson, match_reco
 from repro.obs.bus import ObservabilityBus, SinkBinding
 from repro.obs.registry import (
     HEALTH_SCHEMA,
-    HOSTPROF_SCHEMA,
     METRICS_SCHEMA,
     REGISTRY,
     STEERING_SCHEMA,
@@ -54,7 +53,6 @@ __all__ = [
     "make_record",
     "record_time",
     "TELEMETRY_SCHEMA",
-    "HOSTPROF_SCHEMA",
     "METRICS_SCHEMA",
     "HEALTH_SCHEMA",
     "STEERING_SCHEMA",

@@ -17,7 +17,7 @@ one JSON object per line.  Without ``--follow`` a file tail stops at the
 current end; with it, the reader polls for growth until ``--max`` records
 arrived or interrupted.
 
-``query`` filters archived run directories across all five schemas;
+``query`` filters archived run directories across all four schemas;
 ``summary`` prints per-schema/kind record counts; ``schemas`` lists the
 registry.  All filters share one predicate: ``--schema``/``--kind`` match
 exactly, ``--since`` keeps records stamped at or after the bound (records

@@ -2,9 +2,9 @@
 
 The paper's thesis — measurements should flow as *streams* consumed online,
 not post-mortem files — applied to the reproduction's own observability
-output.  Every plane (virtual-time telemetry, host-time profiling, POP
-efficiency windows, health alerts, steering decisions) publishes
-schema-tagged records into one bus; pluggable sinks fan them out:
+output.  Every plane (virtual-time telemetry, POP efficiency windows,
+health alerts, steering decisions) publishes schema-tagged records into
+one bus; pluggable sinks fan them out:
 
 * :class:`~repro.obs.sinks.FileSink` — JSONL/NDJSON files, the same
   writer behind each plane's own ``write_jsonl`` / ``stream=`` file;

@@ -2,17 +2,15 @@
 
 Before this module existed, each observability plane carried its own
 ``*_SCHEMA`` constant and its own kind set — ``repro.telemetry/1`` in
-:mod:`repro.telemetry.export`, ``repro.hostprof/1`` in
-:mod:`repro.telemetry.hostprof`, ``repro.pop-metrics/1`` in
+:mod:`repro.telemetry.export`, ``repro.pop-metrics/1`` in
 :mod:`repro.telemetry.stream_export` — and two planes (health alerts,
 steering decisions) had no file schema at all.  The registry consolidates
-all five:
+all four:
 
 ========================  =======================================================
 schema                    record kinds
 ========================  =======================================================
 ``repro.telemetry/1``     span, instant, counter, gauge, histogram, flow
-``repro.hostprof/1``      meta, timer, count, span, gc, process
 ``repro.pop-metrics/1``   window, phase, run_summary
 ``repro.health/1``        one kind per health-monitor alert kind (windowed
                           detectors, fault watch) plus the paired
@@ -44,9 +42,6 @@ from repro.errors import ConfigError
 #: histograms, provenance flows)
 TELEMETRY_SCHEMA = "repro.telemetry/1"
 
-#: host-time self-profiling records (wall-clock timers, GC, RSS)
-HOSTPROF_SCHEMA = "repro.hostprof/1"
-
 #: time-resolved POP efficiency stream (windows, phases, run summary)
 METRICS_SCHEMA = "repro.pop-metrics/1"
 
@@ -61,8 +56,6 @@ STEERING_SCHEMA = "repro.steering/1"
 TELEMETRY_KINDS = frozenset(
     {"span", "instant", "counter", "gauge", "histogram", "flow"}
 )
-
-HOSTPROF_KINDS = frozenset({"meta", "timer", "count", "span", "gc", "process"})
 
 METRICS_KINDS = frozenset({"window", "phase", "run_summary"})
 
@@ -186,18 +179,13 @@ class SchemaRegistry:
 
 
 def default_registry() -> SchemaRegistry:
-    """A fresh registry pre-loaded with all five built-in record planes."""
+    """A fresh registry pre-loaded with all four built-in record planes."""
     return SchemaRegistry(
         [
             SchemaSpec(
                 TELEMETRY_SCHEMA,
                 TELEMETRY_KINDS,
                 "virtual-time spans, counters, gauges, histograms, flows",
-            ),
-            SchemaSpec(
-                HOSTPROF_SCHEMA,
-                HOSTPROF_KINDS,
-                "host-time self-profiling (wall-clock timers, GC, RSS)",
             ),
             SchemaSpec(
                 METRICS_SCHEMA,
@@ -218,7 +206,7 @@ def default_registry() -> SchemaRegistry:
     )
 
 
-#: The shared default registry (the five built-in planes).  Callers that
+#: The shared default registry (the four built-in planes).  Callers that
 #: grow private schemas should build their own via :func:`default_registry`
 #: and :meth:`SchemaRegistry.register` rather than mutating this one.
 REGISTRY = default_registry()
@@ -228,7 +216,7 @@ def make_record(schema: str, kind: str, **payload: Any) -> dict[str, Any]:
     """Assemble one schema-tagged record: ``{"schema", "kind", **payload}``.
 
     This is the single record-assembly point every exporter goes through
-    (telemetry JSONL, hostprof JSONL, the POP metrics stream, the bus's
+    (telemetry JSONL, the POP metrics stream, the bus's
     health/steering bridges).  Keyword order is preserved, so a record
     built here serializes byte-identically to the hand-stamped dicts the
     exporters used to build.  The payload may not itself carry ``schema``

@@ -17,7 +17,7 @@ import threading
 from typing import IO, Any, Iterator
 
 from repro.errors import ConfigError
-from repro.obs.registry import record_time
+from repro.obs.archive import match_record
 
 __all__ = ["FileSink", "RingSink", "TailServer", "parse_address"]
 
@@ -26,10 +26,10 @@ class FileSink:
     """Append one ``json.dumps`` line per record — the NDJSON/JSONL format.
 
     The one record writer: the bus file sink, the POP engine's ``stream=``
-    file and both ``write_jsonl`` dumps (telemetry, hostprof) all go
-    through it, so a plane's records have the same bytes in every file.
-    ``flush_each=True`` (the default) flushes after every line so a
-    reader can tail the file mid-run.
+    file and the telemetry ``write_jsonl`` dump all go through it, so a
+    plane's records have the same bytes in every file.  ``flush_each=True``
+    (the default) flushes after every line so a reader can tail the file
+    mid-run.
 
     ``target`` is a path (opened/truncated immediately, closed by
     :meth:`close`) or an open text file object (caller keeps ownership).
@@ -117,20 +117,12 @@ class RingSink:
     ) -> Iterator[dict[str, Any]]:
         """Filtered view over the retained records, oldest first.
 
-        ``since`` keeps records whose timestamp (see
-        :func:`~repro.obs.registry.record_time`) is at or after the bound;
-        time-less records are excluded by a ``since`` filter.
+        The filter is :func:`~repro.obs.archive.match_record`, the same
+        predicate ``python -m repro.obs query`` applies to archives.
         """
         for record in self._ring:
-            if schema is not None and record.get("schema") != schema:
-                continue
-            if kind is not None and record.get("kind") != kind:
-                continue
-            if since is not None:
-                t = record_time(record)
-                if t is None or t < since:
-                    continue
-            yield record
+            if match_record(record, schema, kind, since):
+                yield record
 
     def stats(self) -> dict[str, Any]:
         return {

@@ -22,10 +22,6 @@ disabled.  Enable it by passing a live instance down the stack::
 
 from repro.telemetry.core import KERNEL_PID, NULL_TELEMETRY, Telemetry, rank_pid
 from repro.telemetry.hostprof import (
-    HOSTPROF_SCHEMA,
-    NULL_HOSTPROF,
-    HostProfiler,
-    HostTimer,
     fake_host_clock,
     host_environment,
     host_now,
@@ -80,10 +76,6 @@ from repro.telemetry.spans import NULL_SPAN, Span
 
 __all__ = [
     "Telemetry",
-    "HostProfiler",
-    "HostTimer",
-    "NULL_HOSTPROF",
-    "HOSTPROF_SCHEMA",
     "host_now",
     "set_host_clock",
     "fake_host_clock",

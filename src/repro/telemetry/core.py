@@ -45,7 +45,7 @@ class Telemetry:
 
     def __init__(self, enabled: bool = True, clock: Callable[[], float] | None = None):
         self.enabled = enabled
-        # Fallback to the injectable hostprof clock (standalone components
+        # Fallback to the injectable host clock (standalone components
         # without a kernel); bind_clock() points it at virtual time.
         self._clock = clock or host_now
         self.counters: dict[str, Counter] = {}

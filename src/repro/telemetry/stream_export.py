@@ -30,16 +30,9 @@ from repro.obs.registry import METRICS_KINDS, METRICS_SCHEMA
 
 __all__ = [
     "METRICS_SCHEMA",
-    "STREAM_KINDS",
     "iter_metrics_stream",
     "read_metrics_stream",
 ]
-
-#: record kinds a version-1 metrics stream may contain (the authoritative
-#: set lives in the schema registry, :mod:`repro.obs.registry`)
-STREAM_KINDS = ("window", "phase", "run_summary")
-assert frozenset(STREAM_KINDS) == METRICS_KINDS
-
 
 def _validate_stream_record(path: str, offset: int, record: Any) -> dict[str, Any]:
     schema = record.get("schema") if isinstance(record, dict) else None
@@ -47,7 +40,7 @@ def _validate_stream_record(path: str, offset: int, record: Any) -> dict[str, An
         raise ConfigError(
             f"{path}:+{offset}: schema {schema!r}, expected {METRICS_SCHEMA!r}"
         )
-    if record.get("kind") not in STREAM_KINDS:
+    if record.get("kind") not in METRICS_KINDS:
         raise ConfigError(
             f"{path}:+{offset}: unknown record kind {record.get('kind')!r}"
         )

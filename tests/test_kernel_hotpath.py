@@ -4,12 +4,26 @@ The telemetry-off drain (``_drain_fast``) batches same-timestamp events
 and reduces the periodic-hook test to one float compare.  These tests pin
 the observable contract both drains must share: hook firing points
 relative to batches, ``call_every(first=)`` grid alignment, and the
-stale-cache edges around cancellation and empty schedules.
+stale-cache edges around cancellation and empty schedules.  The last
+section bounds the allocation blocks each hot layer pins per unit of work.
 """
+
+import gc
+import tracemalloc
 
 import pytest
 
+import repro.codec.frame as frame_mod
+import repro.codec.stages as stages_mod
+import repro.instrument.interceptor as interceptor_mod
+import repro.instrument.packer as packer_mod
+import repro.simt.kernel as kernel_mod
+import repro.simt.primitives as primitives_mod
+import repro.simt.process as process_mod
+import repro.vmpi.stream as stream_mod
+from repro.codec.stages import build_chain
 from repro.errors import SimulationError
+from repro.mpi.pmpi import CallRecord
 from repro.simt import Kernel
 from repro.telemetry import Telemetry
 
@@ -232,3 +246,89 @@ def test_cache_recomputes_after_cancelling_the_earliest_hook():
     k.run()
     assert early_fired == []
     assert late_fired == [2.5, 5.0]
+
+
+# -- allocation budgets of the hot layers ------------------------------------------
+#
+# Timing-free complement to the perfbench wall-clock split: each probe drives
+# a fixed working set through one hot layer and holds it live across the
+# closing tracemalloc snapshot, so the count is the number of allocation
+# blocks the layer pins per unit of work.  The counts are deterministic for
+# a given interpreter but shift with CPython's small-object internals across
+# versions, so each is bounded at 1.5x the count recorded on CPython 3.11.7.
+
+ALLOC_SLACK = 1.5
+PROBE_EVENTS = 256  # pending timeouts held by the kernel probe
+PROBE_RECORDS = 64  # records packed by the stream probe and encoded by the codec probe
+PROBE_FRAMES = 32  # frames parsed and held by the frame probe
+PROBE_CHAIN = "delta+dict+zlib"
+
+
+def _alloc_blocks(files, probe) -> int:
+    """Live allocation blocks attributable to ``files`` after ``probe(hold)``."""
+    # Untracked warm-up pass: first-call caches (struct tables, codec
+    # registries, interned codec specs) allocate once per process and would
+    # otherwise make the count depend on which tests ran first.
+    probe([])
+    hold: list = []
+    gc.collect()
+    tracemalloc.start(1)
+    try:
+        probe(hold)
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    snapshot = snapshot.filter_traces([tracemalloc.Filter(True, f) for f in files])
+    return sum(stat.count for stat in snapshot.statistics("filename"))
+
+
+def _probe_kernel(hold: list) -> None:
+    kernel = Kernel()
+    for i in range(PROBE_EVENTS):
+        kernel.timeout(float(i))
+    hold.append(kernel)
+
+
+def _probe_stream(hold: list) -> None:
+    builder = packer_mod.EventPackBuilder(
+        app_id=0,
+        rank=0,
+        capacity_bytes=16 + 40 * PROBE_RECORDS,
+        chain=build_chain(PROBE_CHAIN),
+    )
+    record = CallRecord("MPI_Send", 0.0, 1e-6, 0, 0, 4, 1, 7, 1024)
+    for _ in range(PROBE_RECORDS):
+        builder.add(record)
+    hold.append(builder)
+
+
+def _probe_codec(hold: list) -> None:
+    encoder = build_chain(PROBE_CHAIN)
+    hold.append(encoder.encode(bytes(40 * PROBE_RECORDS), now=0.0))
+
+
+def _probe_frame(hold: list) -> None:
+    blob = frame_mod.build_frame(
+        0, 0, PROBE_RECORDS, bytes(40 * PROBE_RECORDS), codec="delta"
+    )
+    hold.append([frame_mod.parse_frame(blob) for _ in range(PROBE_FRAMES)])
+    hold.append(blob)
+
+
+def test_kernel_allocations_within_budget():
+    files = (kernel_mod.__file__, process_mod.__file__, primitives_mod.__file__)
+    assert 0 < _alloc_blocks(files, _probe_kernel) <= ALLOC_SLACK * 1029
+
+
+def test_stream_pack_build_allocations_within_budget():
+    files = (stream_mod.__file__, packer_mod.__file__, interceptor_mod.__file__)
+    assert _alloc_blocks(files, _probe_stream) <= ALLOC_SLACK * 2
+
+
+def test_codec_encode_allocations_within_budget():
+    assert _alloc_blocks((stages_mod.__file__,), _probe_codec) <= ALLOC_SLACK * 4
+
+
+def test_frame_parse_allocations_within_budget():
+    assert 0 < _alloc_blocks((frame_mod.__file__,), _probe_frame) <= ALLOC_SLACK * 322

@@ -39,11 +39,10 @@ def _window(t1=1.0, **extra):
 
 
 class TestRegistry:
-    def test_all_five_schemas_registered(self):
+    def test_all_four_schemas_registered(self):
         names = REGISTRY.known()
         assert set(names) == {
             TELEMETRY_SCHEMA,
-            "repro.hostprof/1",
             METRICS_SCHEMA,
             HEALTH_SCHEMA,
             STEERING_SCHEMA,
@@ -51,12 +50,10 @@ class TestRegistry:
 
     def test_legacy_constants_are_reexports(self):
         from repro.telemetry.export import TELEMETRY_SCHEMA as legacy_tel
-        from repro.telemetry.hostprof import HOSTPROF_SCHEMA as legacy_host
         from repro.telemetry.stream_export import METRICS_SCHEMA as legacy_metrics
         from repro.telemetry.monitor import WINDOWED_KINDS, CLEARED_SUFFIX
 
         assert legacy_tel == TELEMETRY_SCHEMA
-        assert legacy_host == "repro.hostprof/1"
         assert legacy_metrics == METRICS_SCHEMA
         for kind in WINDOWED_KINDS:
             assert kind in REGISTRY.kinds_for(HEALTH_SCHEMA)
@@ -438,6 +435,32 @@ class TestArchive:
     def test_missing_root_raises(self, tmp_path):
         with pytest.raises(ConfigError):
             list(iter_archive([tmp_path / "nope"]))
+
+    def test_retired_hostprof_records_stay_queryable(self, tmp_path, capsys):
+        # Run directories written before the host profiler was retired
+        # hold repro.hostprof/1 lines next to the POP stream.  They are
+        # counted as an unknown schema and skipped; the rest still reads.
+        run = tmp_path / "old_run"
+        run.mkdir()
+        pop = [_window(t1=1.0), _window(t1=2.0)]
+        legacy = [
+            {"schema": "repro.hostprof/1", "kind": "meta", "elapsed_s": 0.1},
+            {"schema": "repro.hostprof/1", "kind": "timer", "name": "kernel.dispatch"},
+            {"schema": "repro.hostprof/1", "kind": "gc", "pauses": 0},
+        ]
+        lines = [pop[0], legacy[0], legacy[1], pop[1], legacy[2]]
+        (run / "unified.ndjson").write_text(
+            "".join(json.dumps(r) + "\n" for r in lines)
+        )
+        scan = ArchiveScan()
+        assert list(iter_archive([run], scan=scan)) == pop
+        assert scan.unknown_schemas == {"repro.hostprof/1": 3}
+        assert scan.records_read == 5
+
+        assert obs_main(["query", str(run), "--count"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.strip() == "2"
+        assert "3 record(s) of unknown schema 'repro.hostprof/1'" in captured.err
 
 
 class TestCli:
