@@ -8,7 +8,9 @@
   8281-rank BT.D); budget hours.
 
 Each benchmark prints the regenerated table (use ``pytest -s``) and asserts
-the shape criteria from DESIGN.md section 4.
+the shape criteria from DESIGN.md section 4.  A figure's driver runs once
+per module: the ``test_*_regenerate`` test (first in file order) times it,
+and the shape tests read the same result through the ``figure`` fixture.
 """
 
 from __future__ import annotations
@@ -35,3 +37,16 @@ def show():
         print(table.render())
 
     return _show
+
+
+@pytest.fixture(scope="module")
+def figure(scale):
+    """``figure(driver)``: the driver's result at ``scale``, computed once per module."""
+    results = {}
+
+    def _figure(driver):
+        if driver not in results:
+            results[driver] = driver(scale=scale)
+        return results[driver]
+
+    return _figure

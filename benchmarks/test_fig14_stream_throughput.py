@@ -11,13 +11,13 @@ from repro.util.units import GB
 
 
 @pytest.fixture(scope="module")
-def result(scale):
-    return fig14_stream_throughput(scale=scale)
+def result(figure):
+    return figure(fig14_stream_throughput)
 
 
-def test_fig14_regenerate(benchmark, scale, show):
+def test_fig14_regenerate(benchmark, figure, show):
     data = benchmark.pedantic(
-        lambda: fig14_stream_throughput(scale=scale), rounds=1, iterations=1
+        lambda: figure(fig14_stream_throughput), rounds=1, iterations=1
     )
     show(data.table())
 

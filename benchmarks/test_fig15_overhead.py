@@ -11,12 +11,14 @@ from repro.bench import fig15_overhead
 
 
 @pytest.fixture(scope="module")
-def result(scale):
-    return fig15_overhead(scale=scale)
+def result(figure):
+    return figure(fig15_overhead)
 
 
-def test_fig15_regenerate(benchmark, scale, show):
-    data = benchmark.pedantic(lambda: fig15_overhead(scale=scale), rounds=1, iterations=1)
+def test_fig15_regenerate(benchmark, figure, show):
+    data = benchmark.pedantic(
+        lambda: figure(fig15_overhead), rounds=1, iterations=1
+    )
     show(data.table())
 
 

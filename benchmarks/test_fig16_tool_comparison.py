@@ -12,13 +12,13 @@ from repro.bench import fig16_tool_comparison
 
 
 @pytest.fixture(scope="module")
-def result(scale):
-    return fig16_tool_comparison(scale=scale)
+def result(figure):
+    return figure(fig16_tool_comparison)
 
 
-def test_fig16_regenerate(benchmark, scale, show):
+def test_fig16_regenerate(benchmark, figure, show):
     data = benchmark.pedantic(
-        lambda: fig16_tool_comparison(scale=scale), rounds=1, iterations=1
+        lambda: figure(fig16_tool_comparison), rounds=1, iterations=1
     )
     show(data.table())
 

@@ -14,12 +14,14 @@ from repro.bench import fig17_topology
 
 
 @pytest.fixture(scope="module")
-def result(scale):
-    return fig17_topology(scale=scale)
+def result(figure):
+    return figure(fig17_topology)
 
 
-def test_fig17_regenerate(benchmark, scale, show):
-    data = benchmark.pedantic(lambda: fig17_topology(scale=scale), rounds=1, iterations=1)
+def test_fig17_regenerate(benchmark, figure, show):
+    data = benchmark.pedantic(
+        lambda: figure(fig17_topology), rounds=1, iterations=1
+    )
     show(data.table())
 
 

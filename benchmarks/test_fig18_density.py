@@ -13,12 +13,14 @@ from repro.bench import fig18_density
 
 
 @pytest.fixture(scope="module")
-def result(scale):
-    return fig18_density(scale=scale)
+def result(figure):
+    return figure(fig18_density)
 
 
-def test_fig18_regenerate(benchmark, scale, show):
-    data = benchmark.pedantic(lambda: fig18_density(scale=scale), rounds=1, iterations=1)
+def test_fig18_regenerate(benchmark, figure, show):
+    data = benchmark.pedantic(
+        lambda: figure(fig18_density), rounds=1, iterations=1
+    )
     show(data.table())
 
 

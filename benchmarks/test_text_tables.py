@@ -9,12 +9,12 @@ class TestBiBandwidth:
     """Paper Sec. IV-C: Bi(SP.C) = 2.37 GB/s vs Bi(SP.D) = 334.99 MB/s at 900."""
 
     @pytest.fixture(scope="class")
-    def result(self, scale):
-        return bi_bandwidth_table(scale=scale)
+    def result(self, figure):
+        return figure(bi_bandwidth_table)
 
-    def test_regenerate(self, benchmark, scale, show):
+    def test_regenerate(self, benchmark, figure, show):
         data = benchmark.pedantic(
-            lambda: bi_bandwidth_table(scale=scale), rounds=1, iterations=1
+            lambda: figure(bi_bandwidth_table), rounds=1, iterations=1
         )
         show(data.table())
 
@@ -32,12 +32,12 @@ class TestTraceSizes:
     """Paper: Score-P traces 313 MB..116 GB; online 923.93 MB..333.22 GB."""
 
     @pytest.fixture(scope="class")
-    def result(self, scale):
-        return trace_size_table(scale=scale)
+    def result(self, figure):
+        return figure(trace_size_table)
 
-    def test_regenerate(self, benchmark, scale, show):
+    def test_regenerate(self, benchmark, figure, show):
         data = benchmark.pedantic(
-            lambda: trace_size_table(scale=scale), rounds=1, iterations=1
+            lambda: figure(trace_size_table), rounds=1, iterations=1
         )
         show(data.table())
 
@@ -64,12 +64,12 @@ class TestFSComparison:
     """Paper: streams competitive with the 9.1 GB/s scaled FS until ~1/25."""
 
     @pytest.fixture(scope="class")
-    def result(self, scale):
-        return fs_comparison_table(scale=scale)
+    def result(self, figure):
+        return figure(fs_comparison_table)
 
-    def test_regenerate(self, benchmark, scale, show):
+    def test_regenerate(self, benchmark, figure, show):
         data = benchmark.pedantic(
-            lambda: fs_comparison_table(scale=scale), rounds=1, iterations=1
+            lambda: figure(fs_comparison_table), rounds=1, iterations=1
         )
         show(data.table())
 

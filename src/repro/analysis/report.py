@@ -530,8 +530,6 @@ class ProfileReport:
             )
             if sink.get("path"):
                 line += f" -> {sink['path']}"
-            if sink.get("address"):
-                line += f" @ {sink['address']}"
             out.append(line)
         out.append("")
         return "\n".join(out)

@@ -95,11 +95,3 @@ def readers_for(writers: int, ratio: float) -> int:
         raise ValueError("writers must be >= 1 and ratio > 0")
     return max(1, int(writers // ratio))
 
-
-def run_fingerprint(app, stats) -> tuple:
-    """The simulation outputs an observer must leave unchanged: app walltime
-    and event/pack counts, analyzer pack and byte totals."""
-    return (
-        app.walltime, app.events, app.packs,
-        stats["packs"], stats["bytes"], stats["bytes_wire"],
-    )

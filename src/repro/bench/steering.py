@@ -12,10 +12,11 @@ never feel the congestion.
 The lane self-gates: under congestion the adaptive policy must make at
 least one decision, lose strictly fewer packs than the static run and hold
 at least the static analyzed-event throughput; on the healthy workload it
-must make *zero* decisions and reproduce the static run bit-identically
-(same virtual wall-time, analyzed events and sealed packs).  A violated
-gate raises :class:`~repro.errors.ConfigError`, so ``python -m repro.bench
-steering`` fails loudly in CI without needing a baseline diff.
+must make *zero* decisions.  A violated gate raises
+:class:`~repro.errors.ConfigError`, so ``python -m repro.bench steering``
+fails loudly in CI without needing a baseline diff.  That idle steering
+leaves the run bit-identical is asserted by
+``tests/test_observer_invariance.py``, not re-run here.
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ def _lost(p: SteeringBenchPoint) -> int:
     return p.packs_dropped + p.packs_stranded
 
 
-def _gate(healthy_static: SteeringBenchPoint, healthy_adaptive: SteeringBenchPoint,
+def _gate(healthy_adaptive: SteeringBenchPoint,
           congested_static: SteeringBenchPoint,
           congested_adaptive: SteeringBenchPoint) -> None:
     """The lane's acceptance criteria; ConfigError names the broken gate."""
@@ -192,19 +193,6 @@ def _gate(healthy_static: SteeringBenchPoint, healthy_adaptive: SteeringBenchPoi
         raise ConfigError(
             f"steering gate: adaptive policy made {healthy_adaptive.decisions} "
             "decisions on the healthy workload (expected none)"
-        )
-    same = (
-        healthy_static.app_walltime == healthy_adaptive.app_walltime
-        and healthy_static.events_analyzed == healthy_adaptive.events_analyzed
-        and healthy_static.packs_written == healthy_adaptive.packs_written
-    )
-    if not same:
-        raise ConfigError(
-            "steering gate: enabled-but-never-triggered steering changed the "
-            f"healthy run (static {healthy_static.app_walltime:.9f}s/"
-            f"{healthy_static.events_analyzed}ev/{healthy_static.packs_written}pk "
-            f"vs adaptive {healthy_adaptive.app_walltime:.9f}s/"
-            f"{healthy_adaptive.events_analyzed}ev/{healthy_adaptive.packs_written}pk)"
         )
     if congested_adaptive.decisions < 1:
         raise ConfigError(
@@ -239,7 +227,7 @@ def steering_adaptation(
     kernel, readers = _workload(scale)
     result = SteeringBenchResult(machine=machine.name, scale=scale, seed=seed)
 
-    # Healthy rows anchor the congestion plan and feed the bit-identity gate.
+    # The healthy static row anchors the congestion plan.
     rows: dict[tuple[str, str], SteeringBenchPoint] = {}
     run, name = _run(kernel, readers, machine, seed, static_policy(), None, telemetry)
     rows[("static", "none")] = _point(run, name, "static", "none")
@@ -264,8 +252,8 @@ def steering_adaptation(
                 ("static", "congestion"), ("adaptive", "congestion")):
         result.points.append(rows[key])
 
-    _gate(rows[("static", "none")], rows[("adaptive", "none")],
-          rows[("static", "congestion")], rows[("adaptive", "congestion")])
+    _gate(rows[("adaptive", "none")], rows[("static", "congestion")],
+          rows[("adaptive", "congestion")])
 
     if decisions_dir is not None:
         path = Path(decisions_dir) / "steering_decisions.json"

@@ -90,8 +90,7 @@ class JobQueues:
             try:
                 queue = self._queues[idx]
                 if queue:
-                    self.popped += 1
-                    return queue.popleft()
+                    return self._take(queue)
             finally:
                 lock.release()
         # Second pass, blocking, so a busy lock cannot hide the last job.
@@ -100,9 +99,20 @@ class JobQueues:
             with self._locks[idx]:
                 queue = self._queues[idx]
                 if queue:
-                    self.popped += 1
-                    return queue.popleft()
+                    return self._take(queue)
         return None
+
+    def _take(self, queue: deque[Job]) -> Job:
+        """Pop the head of a locked, non-empty FIFO and settle the accounting.
+
+        The depth gauge follows pops as well as pushes, so a reader sees
+        the drained depth rather than the depth after the last push.
+        """
+        self.popped += 1
+        job = queue.popleft()
+        if self._tel.enabled:
+            self._tel.gauge("blackboard.fifo_depth").set(len(self))
+        return job
 
     def __len__(self) -> int:
         return sum(len(q) for q in self._queues)

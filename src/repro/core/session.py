@@ -30,7 +30,7 @@ from repro.mpi.world import World
 from repro.network.machine import MachineSpec, TERA100
 from repro.obs.bus import ObservabilityBus
 from repro.obs.registry import HEALTH_SCHEMA, STEERING_SCHEMA, make_record
-from repro.obs.sinks import FileSink, RingSink, TailServer
+from repro.obs.sinks import FileSink, RingSink
 from repro.steering import SteeringController, SteeringPolicy
 from repro.telemetry import FlowRegistry, NULL_TELEMETRY, Telemetry
 from repro.telemetry.export import jsonl_records as _telemetry_records
@@ -138,7 +138,6 @@ class CouplingSession:
         self._steering: SteeringController | None = None
         self._obs: ObservabilityBus | None = None
         self._obs_ring: RingSink | None = None
-        self._obs_tail: TailServer | None = None
 
     # -- configuration ------------------------------------------------------------
 
@@ -293,7 +292,6 @@ class CouplingSession:
         path: str | None = None,
         *,
         ring: int | None = 1024,
-        tail: str | None = None,
     ) -> ObservabilityBus:
         """Attach the unified observability bus to the upcoming run.
 
@@ -305,13 +303,11 @@ class CouplingSession:
 
         * ``path`` — an NDJSON :class:`~repro.obs.sinks.FileSink` whose
           byte stream for any single schema is identical to that plane's
-          own ``write_jsonl`` / ``stream=`` file;
+          own ``write_jsonl`` / ``stream=`` file.  It flushes every line,
+          so ``python -m repro.obs tail PATH --follow`` is the live feed;
         * ``ring`` — a bounded in-memory :class:`~repro.obs.sinks.RingSink`
           (None disables it) left queryable after the run via
-          :attr:`obs_ring`;
-        * ``tail`` — a :class:`~repro.obs.sinks.TailServer` live-feed
-          address (``HOST:PORT``, ``:0`` for an ephemeral port, or a Unix
-          socket path), resolved address at :attr:`obs_tail`.
+          :attr:`obs_ring`.
 
         The bus is observation-only: it taps existing observation planes
         and never schedules events, so a run with the bus enabled is
@@ -327,9 +323,6 @@ class CouplingSession:
         if ring is not None:
             self._obs_ring = RingSink(ring)
             bus.add_sink(self._obs_ring, name="ring")
-        if tail is not None:
-            self._obs_tail = TailServer(tail)
-            bus.add_sink(self._obs_tail, name="tail")
         self._obs = bus
         return bus
 
@@ -340,10 +333,6 @@ class CouplingSession:
     @property
     def obs_ring(self) -> RingSink | None:
         return self._obs_ring
-
-    @property
-    def obs_tail(self) -> TailServer | None:
-        return self._obs_tail
 
     def enable_provenance(self, sample_rate: float = 1.0) -> FlowRegistry:
         """Trace causal pack flows through the upcoming run.

@@ -13,18 +13,18 @@ is not a record plane: ``perfbench/`` attributes it from outside.
 * :mod:`repro.obs.bus` — :class:`ObservabilityBus`, validate-on-publish
   fan-out with per-sink delivery/drop/error accounting;
 * :mod:`repro.obs.sinks` — NDJSON :class:`FileSink` (the one record
-  writer every plane uses), bounded :class:`RingSink` for live query, and
-  :class:`TailServer`, a line-delimited TCP/Unix-socket live-tail feed;
+  writer every plane uses, flushed per line so it can be followed live)
+  and bounded :class:`RingSink` for in-process query;
 * :mod:`repro.obs.archive` — torn-tail-tolerant NDJSON reading and the
   run-archive query engine behind ``python -m repro.obs``.
 
 Wire-up is one call on a session::
 
     session = CouplingSession(telemetry=Telemetry())
-    bus = session.enable_observability(path="run.ndjson", tail="127.0.0.1:0")
+    bus = session.enable_observability(path="run.ndjson")
     ...
     result = session.run()       # result.obs carries the bus summary
-    # meanwhile:  python -m repro.obs tail run.ndjson --schema repro.health/1
+    # meanwhile:  python -m repro.obs tail run.ndjson --follow --schema repro.health/1
 """
 
 from repro.obs.archive import ArchiveScan, iter_archive, iter_ndjson, match_record
@@ -41,7 +41,7 @@ from repro.obs.registry import (
     make_record,
     record_time,
 )
-from repro.obs.sinks import FileSink, RingSink, TailServer, parse_address
+from repro.obs.sinks import FileSink, RingSink
 
 __all__ = [
     "ObservabilityBus",
@@ -58,8 +58,6 @@ __all__ = [
     "STEERING_SCHEMA",
     "FileSink",
     "RingSink",
-    "TailServer",
-    "parse_address",
     "iter_ndjson",
     "iter_archive",
     "match_record",

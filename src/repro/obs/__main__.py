@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.obs tail PATH|HOST:PORT [--schema S] [--kind K]
+    python -m repro.obs tail PATH [--schema S] [--kind K]
                         [--since T] [--follow] [--max N] [--strict]
     python -m repro.obs query PATH_OR_DIR... [--schema S] [--kind K]
                         [--since T] [--limit N] [--count]
@@ -10,12 +10,11 @@ Usage::
     python -m repro.obs schemas
 
 ``tail`` follows one live stream — an NDJSON file another process is
-flushing (torn trailing lines are tolerated and resumed, mid-file
-corruption fails loudly) or a :class:`~repro.obs.sinks.TailServer`
-address (``HOST:PORT`` or a Unix-socket path) — printing matching records
-one JSON object per line.  Without ``--follow`` a file tail stops at the
-current end; with it, the reader polls for growth until ``--max`` records
-arrived or interrupted.
+flushing, such as the bus's :class:`~repro.obs.sinks.FileSink` (torn
+trailing lines are tolerated and resumed, mid-file corruption fails
+loudly) — printing matching records one JSON object per line.  Without
+``--follow`` it stops at the current end; with it, the reader polls for
+growth until ``--max`` records arrived or interrupted.
 
 ``query`` filters archived run directories across all four schemas;
 ``summary`` prints per-schema/kind record counts; ``schemas`` lists the
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import socket as socket_module
 import sys
 import time
 from pathlib import Path
@@ -37,7 +35,6 @@ from typing import Any
 from repro.errors import ConfigError
 from repro.obs.archive import ArchiveScan, iter_archive, iter_ndjson, match_record
 from repro.obs.registry import REGISTRY, SchemaRegistry
-from repro.obs.sinks import parse_address
 
 #: polling cadence of ``tail --follow`` on a file, seconds
 FOLLOW_POLL_S = 0.1
@@ -61,8 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    tail = sub.add_parser("tail", help="follow a live NDJSON file or tail server")
-    tail.add_argument("source", help="NDJSON path, HOST:PORT, or Unix-socket path")
+    tail = sub.add_parser("tail", help="follow a live NDJSON file")
+    tail.add_argument("source", help="NDJSON path")
     _filter_flags(tail)
     tail.add_argument(
         "--follow",
@@ -111,7 +108,7 @@ def _emit(record: dict[str, Any]) -> None:
 # -- tail ---------------------------------------------------------------------------
 
 
-def _tail_file(args: argparse.Namespace, registry: SchemaRegistry) -> int:
+def _tail_main(args: argparse.Namespace, registry: SchemaRegistry) -> int:
     path = Path(args.source)
     if not path.is_file():
         raise ConfigError(f"no such file: {path}")
@@ -149,57 +146,6 @@ def _tail_file(args: argparse.Namespace, registry: SchemaRegistry) -> int:
         print(f"[tail: skipped {n} record(s) of unknown schema {label!r}]",
               file=sys.stderr)
     return 0
-
-
-def _tail_socket(args: argparse.Namespace, registry: SchemaRegistry) -> int:
-    family, sockaddr = parse_address(args.source)
-    sock = socket_module.socket(family, socket_module.SOCK_STREAM)
-    sock.connect(sockaddr)
-    printed = 0
-    skipped: dict[str, int] = {}
-    try:
-        with sock.makefile("rb") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(f"{args.source}: not valid JSON: {exc}") from exc
-                tag = record.get("schema") if isinstance(record, dict) else None
-                if not isinstance(tag, str) or tag not in registry:
-                    label = tag if isinstance(tag, str) else "<missing>"
-                    if args.strict:
-                        raise ConfigError(
-                            f"{args.source}: record with unregistered schema {label!r}"
-                        )
-                    skipped[label] = skipped.get(label, 0) + 1
-                    continue
-                if not match_record(
-                    record, schema=args.schema, kind=args.kind, since=args.since
-                ):
-                    continue
-                _emit(record)
-                printed += 1
-                if args.max is not None and printed >= args.max:
-                    break
-    except KeyboardInterrupt:
-        pass
-    finally:
-        sock.close()
-    for label, n in sorted(skipped.items()):
-        print(f"[tail: skipped {n} record(s) of unknown schema {label!r}]",
-              file=sys.stderr)
-    return 0
-
-
-def _tail_main(args: argparse.Namespace, registry: SchemaRegistry) -> int:
-    # A plain existing file is a file tail; anything else must parse as a
-    # socket address (HOST:PORT, or the path of a live Unix socket).
-    if Path(args.source).is_file():
-        return _tail_file(args, registry)
-    return _tail_socket(args, registry)
 
 
 # -- query / summary ----------------------------------------------------------------

@@ -7,20 +7,19 @@ health alerts, steering decisions) publishes schema-tagged records into
 one bus; pluggable sinks fan them out:
 
 * :class:`~repro.obs.sinks.FileSink` — JSONL/NDJSON files, the same
-  writer behind each plane's own ``write_jsonl`` / ``stream=`` file;
+  writer behind each plane's own ``write_jsonl`` / ``stream=`` file,
+  flushed per line so ``python -m repro.obs tail PATH --follow`` reads
+  it live;
 * :class:`~repro.obs.sinks.RingSink` — a bounded in-memory ring for live
-  queries mid-run;
-* :class:`~repro.obs.sinks.TailServer` — a line-delimited TCP/Unix-socket
-  feed for live tailing (``python -m repro.obs tail HOST:PORT``) and the
-  future analyzer service.
+  queries mid-run.
 
 Publishing **validates**: a record without a registered schema tag, or with
 a kind outside its schema's kind set, is rejected with
 :class:`~repro.errors.ConfigError` and counted — garbage never reaches a
 sink.  Each sink is wrapped in a :class:`SinkBinding` that tracks delivery,
-drops (a full ring, a slow tail client) and write errors per sink, so the
-observability layer reports on itself: :meth:`ObservabilityBus.summary` is
-what :attr:`~repro.core.session.SessionResult.obs` and the report's
+drops and write errors per sink, so the observability layer reports on
+itself: :meth:`ObservabilityBus.summary` is what
+:attr:`~repro.core.session.SessionResult.obs` and the report's
 "Observability" section render.
 
 The bus is synchronous and allocation-light: one dict lookup per publish

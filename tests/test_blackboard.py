@@ -9,6 +9,7 @@ from repro.blackboard import Blackboard, MultiLevelBlackboard, ThreadPool
 from repro.blackboard.entry import DataEntry, TypeRegistry
 from repro.blackboard.jobs import Job, JobQueues
 from repro.blackboard.ks import KnowledgeSource
+from repro.telemetry import Telemetry
 
 
 class TestTypeRegistry:
@@ -121,6 +122,17 @@ class TestJobQueues:
     def test_pop_empty_returns_none(self):
         q = JobQueues(nqueues=2)
         assert q.try_pop() is None
+
+    def test_depth_gauge_reads_drained_depth(self):
+        tel = Telemetry()
+        b = Blackboard(nqueues=4, telemetry=tel)
+        t = b.register_type("t")
+        b.register_ks("ks", [t], lambda bd, es: None)
+        for i in range(5):
+            b.submit(t, i)
+        assert tel.gauge("blackboard.fifo_depth").value == 5
+        b.run_until_idle()
+        assert tel.gauge("blackboard.fifo_depth").value == 0
 
 
 class TestBlackboard:

@@ -91,28 +91,6 @@ def _anchor(machine):
     return session.run().app(name).walltime
 
 
-def test_empty_plan_is_bit_identical(machine):
-    baseline, _ = _session(machine)
-    base = baseline.run()
-
-    planned, _ = _session(machine)
-    planned.inject_faults(FaultPlan(specs=()))
-    res = planned.run()
-
-    assert res.degraded is False
-    assert res.faults is None  # empty plan: injector never constructed
-    assert res.data_loss_fraction == 0.0
-    for name, run in base.apps.items():
-        other = res.apps[name]
-        assert (run.walltime, run.events, run.packs) == (
-            other.walltime,
-            other.events,
-            other.packs,
-        )
-    assert base.analyzer_walltime == res.analyzer_walltime
-    assert base.analyzer_stats["packs"] == res.analyzer_stats["packs"]
-
-
 @pytest.mark.chaos
 def test_crash_failover_completes_and_remaps(machine):
     at = _anchor(machine) * 0.35

@@ -338,15 +338,14 @@ class TestSubscribers:
 # -- session integration --------------------------------------------------------------
 
 
-def _session(with_monitor, seed=3, subscriber=None, config=None):
+def _session(seed=3, subscriber=None, config=None):
     tel = Telemetry()
     session = CouplingSession(seed=seed, telemetry=tel)
     session.add_application(EulerMHD(8, grid=256, iterations=4), name="mhd")
     session.set_analyzer(nprocs=2)
-    if with_monitor:
-        monitor = session.enable_monitor(config=config)
-        if subscriber is not None:
-            monitor.subscribe(subscriber)
+    monitor = session.enable_monitor(config=config)
+    if subscriber is not None:
+        monitor.subscribe(subscriber)
     return session.run()
 
 
@@ -362,23 +361,8 @@ class TestSessionIntegration:
         with pytest.raises(ConfigError):
             session.enable_monitor()
 
-    def test_monitor_on_off_bit_identical(self):
-        plain = _session(False)
-        watched = _session(
-            True, config=MonitorConfig(interval=1e-4, window=5e-4)
-        )
-        assert watched.health["ticks"] > 0
-        assert plain.apps["mhd"].walltime == watched.apps["mhd"].walltime
-        assert plain.apps["mhd"].events == watched.apps["mhd"].events
-        assert plain.analyzer_walltime == watched.analyzer_walltime
-        # Whole rendered chapters match byte for byte.
-        assert (
-            plain.report.chapters[0].render()
-            == watched.report.chapters[0].render()
-        )
-
     def test_health_summary_reaches_result_and_report(self):
-        result = _session(True, config=MonitorConfig(interval=1e-4, window=5e-4))
+        result = _session(config=MonitorConfig(interval=1e-4, window=5e-4))
         assert result.health is not None
         assert result.report.health is result.health
         rendered = result.report.render()
@@ -388,7 +372,6 @@ class TestSessionIntegration:
         live = []
         # Tight thresholds so something certainly fires.
         result = _session(
-            True,
             subscriber=live.append,
             config=MonitorConfig(
                 interval=1e-4, window=5e-4, critical_path_share=0.01
@@ -401,7 +384,6 @@ class TestSessionIntegration:
 
     def test_alerts_published_through_blackboard(self):
         result = _session(
-            True,
             config=MonitorConfig(
                 interval=1e-4, window=5e-4, critical_path_share=0.01
             ),

@@ -1,9 +1,6 @@
 """Unified observability bus: registry, bus fan-out, sinks, CLI, wiring."""
 
 import json
-import socket
-import threading
-import time
 
 import pytest
 
@@ -18,12 +15,10 @@ from repro.obs import (
     RingSink,
     STEERING_SCHEMA,
     TELEMETRY_SCHEMA,
-    TailServer,
     default_registry,
     iter_archive,
     iter_ndjson,
     make_record,
-    parse_address,
     record_time,
 )
 from repro.obs.__main__ import main as obs_main
@@ -210,95 +205,6 @@ class TestRingSink:
     def test_capacity_validated(self):
         with pytest.raises(ConfigError):
             RingSink(capacity=0)
-
-
-# -- tail server --------------------------------------------------------------------
-
-
-def _connect(server: TailServer) -> socket.socket:
-    family, sockaddr = parse_address(server.address)
-    sock = socket.socket(family, socket.SOCK_STREAM)
-    sock.connect(sockaddr)
-    return sock
-
-
-def _wait_until(predicate, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.01)
-    return False
-
-
-class TestTailServer:
-    def test_live_client_receives_lines(self):
-        server = TailServer("127.0.0.1:0")
-        try:
-            sock = _connect(server)
-            assert _wait_until(lambda: server.stats()["clients_served"] == 1)
-            records = [_window(t1=float(i)) for i in range(3)]
-            for record in records:
-                assert server.emit(record)
-            fh = sock.makefile("rb")
-            got = [json.loads(fh.readline()) for _ in records]
-            assert got == records
-            sock.close()
-        finally:
-            server.close()
-
-    def test_no_clients_counts_delivered(self):
-        server = TailServer("127.0.0.1:0")
-        try:
-            assert server.emit(_window())  # a file nobody reads, not a drop
-        finally:
-            server.close()
-
-    def test_slow_client_drops_counted_publisher_unblocked(self):
-        # Bound small enough that a couple of records overflow a client
-        # that never reads.
-        server = TailServer("127.0.0.1:0", max_pending_bytes=96)
-        try:
-            sock = _connect(server)
-            assert _wait_until(lambda: server.stats()["clients_served"] == 1)
-            t0 = time.monotonic()
-            results = [
-                server.emit(_window(t1=float(i), pad="x" * 64)) for i in range(50)
-            ]
-            elapsed = time.monotonic() - t0
-            assert elapsed < 2.0, "publisher must never block on a slow client"
-            assert not all(results), "overflowing client must surface drops"
-            assert _wait_until(
-                lambda: sum(c["dropped"] for c in server.stats()["clients"]) > 0
-            )
-            sock.close()
-        finally:
-            server.close()
-
-    def test_unix_socket_roundtrip(self, tmp_path):
-        path = str(tmp_path / "obs.sock")
-        server = TailServer(path)
-        try:
-            assert server.address == path
-            sock = _connect(server)
-            assert _wait_until(lambda: server.stats()["clients_served"] == 1)
-            record = make_record(HEALTH_SCHEMA, "backlog_growth", t_detect=1.5)
-            server.emit(record)
-            assert json.loads(sock.makefile("rb").readline()) == record
-            sock.close()
-        finally:
-            server.close()
-        assert not (tmp_path / "obs.sock").exists()
-
-    def test_emit_after_close_raises(self):
-        server = TailServer("127.0.0.1:0")
-        server.close()
-        with pytest.raises(ConfigError):
-            server.emit(_window())
-
-    def test_bad_address_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_address("host:notaport")
 
 
 # -- torn-tail NDJSON reading -------------------------------------------------------
@@ -505,27 +411,9 @@ class TestCli:
         assert "acme.metrics/9" in captured.err
         assert obs_main(["tail", str(run / "foreign.jsonl"), "--strict"]) == 1
 
-    def test_tail_socket(self, tmp_path, capsys):
-        server = TailServer("127.0.0.1:0")
-        record = make_record(HEALTH_SCHEMA, "stream_stall", t_detect=1.0)
-
-        def feed():
-            _wait_until(lambda: server.stats()["clients_served"] == 1)
-            server.emit(record)
-            _wait_until(
-                lambda: sum(c["sent"] for c in server.stats()["clients"]) == 1
-            )
-            server.close()  # EOF ends the client tail
-
-        feeder = threading.Thread(target=feed)
-        feeder.start()
-        try:
-            assert obs_main(["tail", server.address, "--schema", HEALTH_SCHEMA]) == 0
-        finally:
-            feeder.join()
-            server.close()
-        out = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
-        assert out == [record]
+    def test_tail_non_file_source_is_a_clean_error(self, capsys):
+        assert obs_main(["tail", "127.0.0.1:9"]) == 1
+        assert "error: no such file" in capsys.readouterr().err
 
     def test_summary_table(self, tmp_path, capsys):
         run, _ = _archive(tmp_path)
@@ -549,37 +437,24 @@ class TestCli:
 
 class TestSessionWiring:
     @pytest.fixture(scope="class")
-    def session_pair(self, tmp_path_factory):
+    def observed(self, tmp_path_factory):
         from repro.apps.nas import SP
         from repro.core.session import CouplingSession
         from repro.telemetry import Telemetry
         from repro.telemetry.popmetrics import PopConfig
 
         tmp = tmp_path_factory.mktemp("obs_session")
+        session = CouplingSession(telemetry=Telemetry(), seed=3)
+        session.add_application(SP(16, "C", iterations=2), name="sp")
+        session.set_analyzer(ratio=4.0)
+        session.enable_monitor()
+        session.enable_pop_metrics(PopConfig(window=0.5), stream=str(tmp / "pop.ndjson"))
+        session.enable_steering()
+        session.enable_observability(str(tmp / "unified.ndjson"))
+        return tmp, session, session.run()
 
-        def build(stream=None):
-            session = CouplingSession(telemetry=Telemetry(), seed=3)
-            session.add_application(SP(16, "C", iterations=2), name="sp")
-            session.set_analyzer(ratio=4.0)
-            session.enable_monitor()
-            session.enable_pop_metrics(PopConfig(window=0.5), stream=stream)
-            session.enable_steering()
-            return session
-
-        off = build(stream=str(tmp / "pop_off.ndjson"))
-        r_off = off.run()
-        on = build(stream=str(tmp / "pop.ndjson"))
-        on.enable_observability(str(tmp / "unified.ndjson"))
-        r_on = on.run()
-        return tmp, r_off, on, r_on
-
-    def test_bus_run_bit_identical(self, session_pair):
-        _tmp, r_off, _on, r_on = session_pair
-        assert r_off.apps["sp"].walltime == r_on.apps["sp"].walltime
-        assert r_off.analyzer_walltime == r_on.analyzer_walltime
-
-    def test_pop_stream_byte_identical_through_bus(self, session_pair):
-        tmp, _r_off, _on, _r_on = session_pair
+    def test_pop_stream_byte_identical_through_bus(self, observed):
+        tmp, _on, _r_on = observed
         legacy = (tmp / "pop.ndjson").read_bytes()
         bus_lines = b"".join(
             line
@@ -588,22 +463,22 @@ class TestSessionWiring:
         )
         assert bus_lines == legacy
 
-    def test_result_and_report_carry_summary(self, session_pair):
-        _tmp, _r_off, _on, r_on = session_pair
+    def test_result_and_report_carry_summary(self, observed):
+        _tmp, _on, r_on = observed
         assert r_on.obs is not None
         assert r_on.obs["published"] > 0 and r_on.obs["rejected"] == 0
         assert "## Observability" in r_on.report.render()
 
-    def test_ring_queryable_after_run(self, session_pair):
-        _tmp, _r_off, on, r_on = session_pair
+    def test_ring_queryable_after_run(self, observed):
+        _tmp, on, r_on = observed
         ring = on.obs_ring
         assert ring is not None and len(ring) > 0
         assert len(list(ring.query(schema=TELEMETRY_SCHEMA))) == sum(
             r_on.obs["schemas"][TELEMETRY_SCHEMA].values()
         )
 
-    def test_double_enable_rejected(self, session_pair):
-        _tmp, _r_off, on, _r_on = session_pair
+    def test_double_enable_rejected(self, observed):
+        _tmp, on, _r_on = observed
         with pytest.raises(ConfigError):
             on.enable_observability()
 

@@ -219,19 +219,6 @@ def test_telescoping_property(window, seed):
         assert phase_totals[key] == pytest.approx(summary["totals"][key], abs=1e-6)
 
 
-def test_bit_identical_with_metrics_disabled():
-    """The observer bar: enabling the engine must not move the simulation."""
-    plain, name = _session(telemetry=Telemetry(), iterations=2)
-    base = plain.run()
-    metered, name2 = _session(telemetry=Telemetry(), iterations=2)
-    metered.enable_pop_metrics(PopConfig(window=0.004))
-    run = metered.run()
-    assert run.app(name2).walltime == base.app(name).walltime
-    assert run.app(name2).events == base.app(name).events
-    assert run.analyzer_walltime == base.analyzer_walltime
-    assert run.efficiency is not None and base.efficiency is None
-
-
 # -- phase detection ---------------------------------------------------------------
 
 

@@ -194,30 +194,6 @@ def test_session_flows_telescope_and_sum_to_end_to_end():
     assert sum(critical["share"].values()) == pytest.approx(1.0)
 
 
-def test_provenance_is_observation_only():
-    """Provenance on/off: identical timings, stream and board accounting."""
-    base_session, name = _coupled_session(prov=False)
-    base = base_session.run()
-    prov_session, _ = _coupled_session(prov=True)
-    prov = prov_session.run()
-    assert base.app(name).walltime == prov.app(name).walltime
-    assert base.analyzer_walltime == prov.analyzer_walltime
-    assert base.analyzer_stats["board"] == prov.analyzer_stats["board"]
-    # Stream accounting matches except the physical-wire counters: the
-    # provenance section adds real frame bytes (exempt from all modelling).
-    def modelled(stats):
-        return {
-            k: v for k, v in stats.items()
-            if not k.startswith("bytes_wire") and k != "pack_ratio"
-        }
-
-    assert modelled(base.analyzer_stats["stream"]) == modelled(
-        prov.analyzer_stats["stream"]
-    )
-    assert base.analyzer_stats["bytes"] == prov.analyzer_stats["bytes"]
-    assert base.flows is None and prov.flows is not None
-
-
 def test_same_seed_runs_produce_identical_flow_records():
     records = []
     for _ in range(2):

@@ -453,8 +453,7 @@ class TestMidSessionChainSwitch:
 # -- end-to-end sessions: determinism and bit-identity --------------------------------
 
 
-def _steer_session(policy, *, plan=None, iterations=12, enable=True, seed=7,
-                   obs_path=None):
+def _steer_session(policy, *, plan=None, iterations=12, seed=7, obs_path=None):
     mach = dataclasses.replace(TERA100, cores_per_node=8)
     cost = dataclasses.replace(
         CostModel.for_machine(mach, ranks_per_node=8), eager_threshold=2048)
@@ -467,8 +466,7 @@ def _steer_session(policy, *, plan=None, iterations=12, enable=True, seed=7,
     name = session.add_application(SP(16, "C", iterations=iterations))
     session.set_analyzer(nprocs=4)
     session.enable_monitor()
-    if enable:
-        session.enable_steering(policy)
+    session.enable_steering(policy)
     if plan is not None:
         session.inject_faults(plan)
     if obs_path is not None:
@@ -568,26 +566,6 @@ class TestSessionIntegration:
         assert first.app(name_a).walltime == second.app(name_b).walltime
         assert (first.report.chapter(name_a).profile.events_total
                 == second.report.chapter(name_b).profile.events_total)
-
-    def test_disabled_and_static_runs_match_the_seed(self):
-        def key(result, name):
-            writers = [st.stats() for _, st in result.world.streams
-                       if st.mode == "w"]
-            return (
-                result.app(name).walltime,
-                result.report.chapter(name).profile.events_total,
-                sum(st["blocks_written"] for st in writers),
-            )
-
-        bare, name, _ = _steer_session(None, enable=False)
-        static, name_s, _ = _steer_session(static_policy())
-        adaptive, name_a, _ = _steer_session(bench_policy())
-        assert bare.steering is None
-        assert static.steering is not None
-        assert static.steering["decisions"] == []
-        assert adaptive.steering["decisions"] == []
-        assert key(bare, name) == key(static, name_s) == key(adaptive, name_a)
-
 
 # -- the bench lane gates itself ------------------------------------------------------
 
