@@ -10,14 +10,7 @@ Drivers accept a ``scale``:
   4096-rank SP.D, 8281-rank BT.D); expect long runtimes.
 """
 
-from repro.bench.compare import (
-    BenchComparison,
-    MetricDelta,
-    compare_bench,
-    compare_files,
-    load_bench_json,
-    metric_direction,
-)
+from repro.bench.compare import BenchComparison, compare_bench, load_bench_json
 from repro.bench.chaos import ChaosPoint, ChaosResult, chaos_resilience, load_plan
 from repro.bench.codec import CodecPoint, CodecResult, codec_reduction
 from repro.bench.flow import FlowPoint, FlowResult, flow_attribution
@@ -45,11 +38,8 @@ from repro.bench.tables import (
 
 __all__ = [
     "BenchComparison",
-    "MetricDelta",
     "compare_bench",
-    "compare_files",
     "load_bench_json",
-    "metric_direction",
     "OverheadPoint",
     "measure_overhead",
     "sweep",

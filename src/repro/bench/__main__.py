@@ -17,11 +17,10 @@ Usage::
     python -m repro.bench obs
     python -m repro.bench steering
     python -m repro.bench all
-    python -m repro.bench compare BASELINE.json CANDIDATE.json [--tolerance T]
 
 Every experiment sub-command shares one argparse parent, so the common
 flags (``--scale/--seed/--csv/--json/--telemetry/--profile/--outdir/
---baseline/--tolerance/--metric-tolerance``) are defined exactly once;
+--baseline``) are defined exactly once;
 experiment-specific flags (``chaos --chaos PLAN``) live on their own
 sub-command.
 
@@ -36,11 +35,10 @@ Perfetto or ``chrome://tracing``.  ``metrics --json`` also streams
 ``--profile`` wraps the driver in ``cProfile``, prints a top-N hotspot
 table and dumps ``BENCH_<name>.pstats`` for ``snakeviz``/``pstats``.
 
-``compare`` diffs two such artefacts with direction-aware per-metric
-tolerances, warns on host-environment mismatch, and exits non-zero on
-regression — the CI gate.  Experiment runs can self-gate in one step with
-``--baseline BENCH_ref.json`` (plus ``--metric-tolerance`` overrides for
-host-speed-dependent throughput columns).
+``--baseline BENCH_ref.json`` is the regression gate: after the run, the
+fresh rows must equal the committed artefact's cell for cell (see
+:mod:`repro.bench.compare`); every differing cell is printed and the
+command exits 1.
 """
 
 from __future__ import annotations
@@ -69,8 +67,7 @@ from repro.bench import (
     steering_adaptation,
     trace_size_table,
 )
-from repro.bench.compare import compare_bench, compare_files, load_bench_json
-from repro.errors import ConfigError
+from repro.bench.compare import compare_bench, load_bench_json
 from repro.telemetry import Telemetry
 from repro.telemetry.hostprof import host_environment, host_now
 
@@ -133,21 +130,9 @@ def _common_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--baseline",
         metavar="BENCH_ref.json",
-        help="after running, diff the fresh payload against this artefact "
-        "and exit non-zero on regression (single experiment only)",
-    )
-    common.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.05,
-        help="allowed relative drift for --baseline (default 0.05)",
-    )
-    common.add_argument(
-        "--metric-tolerance",
-        action="append",
-        default=[],
-        metavar="COLUMN=FLOAT",
-        help="per-column tolerance override for --baseline; repeatable",
+        help="after running, require the fresh rows to equal this "
+        "artefact's cell for cell; exit 1 on any difference (single "
+        "experiment only)",
     )
     return common
 
@@ -173,71 +158,13 @@ def build_parser() -> argparse.ArgumentParser:
                 "drop, stall, mixed) or a JSON plan file; default: sweep "
                 "every canned plan",
             )
-    compare = sub.add_parser(
-        "compare",
-        help="diff two BENCH_*.json artefacts; exit 1 on regression",
-    )
-    compare.add_argument("baseline", help="reference BENCH_*.json")
-    compare.add_argument("candidate", help="freshly produced BENCH_*.json")
-    compare.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.05,
-        help="allowed relative drift in the bad direction (default 0.05)",
-    )
-    compare.add_argument(
-        "--metric-tolerance",
-        action="append",
-        default=[],
-        metavar="COLUMN=FLOAT",
-        help="per-column tolerance override; repeatable",
-    )
-    compare.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the full diff (deltas, ratios, host-env warnings) as "
-        "JSON on stdout instead of the text report",
-    )
     return parser
-
-
-def _parse_metric_tolerances(pairs: list[str]) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for pair in pairs:
-        column, sep, value = pair.partition("=")
-        if not sep or not column:
-            raise ConfigError(
-                f"--metric-tolerance wants COLUMN=FLOAT, got {pair!r}"
-            )
-        try:
-            out[column] = float(value)
-        except ValueError:
-            raise ConfigError(
-                f"--metric-tolerance {column!r}: {value!r} is not a float"
-            ) from None
-    return out
-
-
-def _compare_main(args: argparse.Namespace) -> int:
-    comparison = compare_files(
-        args.baseline,
-        args.candidate,
-        tolerance=args.tolerance,
-        per_metric=_parse_metric_tolerances(args.metric_tolerance),
-    )
-    if args.json:
-        print(json.dumps(comparison.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(comparison.render())
-    return 0 if comparison.ok else 1
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.experiment == "compare":
-        return _compare_main(args)
     if args.telemetry:
         args.json = True
     if args.baseline and args.experiment == "all":
@@ -303,11 +230,10 @@ def main(argv: list[str] | None = None) -> int:
             json_path.write_text(json.dumps(payload, indent=2, default=str))
             print(f"[{name}: JSON -> {json_path}]")
         if args.baseline:
+            # Round-trip so in-memory cells compare as they read on disk.
             comparison = compare_bench(
                 load_bench_json(args.baseline),
-                payload,
-                tolerance=args.tolerance,
-                per_metric=_parse_metric_tolerances(args.metric_tolerance),
+                json.loads(json.dumps(payload, default=str)),
             )
             print(comparison.render())
             if not comparison.ok:

@@ -152,6 +152,12 @@ def chaos_resilience(
 
     ``plan`` narrows the sweep to one plan (a canned name, a JSON plan
     file, or a :class:`FaultPlan`); by default every canned plan runs.
+
+    With ``telemetry`` every session runs with a health monitor on its own
+    :class:`Telemetry`: the monitor reads the session's instruments, so a
+    shared one would carry earlier plans' counts into later plans'
+    ``alerts``.  The ``telemetry`` passed in is used by the healthy
+    (``none``) session only, so its trace shows the plan-free run.
     """
     kernel, readers = _workload(scale)
     result = ChaosResult(machine=machine.name, scale=scale, seed=seed)
@@ -172,7 +178,8 @@ def chaos_resilience(
         plans = [(resolved.name, resolved)]
 
     for label, fault_plan in plans:
-        session, name = _session(kernel, readers, machine, seed, telemetry)
+        own = Telemetry() if telemetry is not None else None
+        session, name = _session(kernel, readers, machine, seed, own)
         session.inject_faults(fault_plan)
         chaotic = session.run()
         result.points.append(_point(chaotic, name, label, readers))

@@ -220,6 +220,12 @@ def steering_adaptation(
 ) -> SteeringBenchResult:
     """Run the static/adaptive × healthy/congested grid and self-gate.
 
+    Every run gets its own :class:`Telemetry`, because the health monitor
+    reads the session's instruments and a shared one would carry the
+    earlier runs' counts into the later runs' alerts.  A ``telemetry``
+    passed in is used by the adaptive congested run only, so its trace
+    shows the steered session.
+
     With ``decisions_dir`` the adaptive congested run's full decision log
     (policy, alerts seen, per-decision trigger/latency data) is written to
     ``steering_decisions.json`` for artefact upload.
@@ -229,11 +235,11 @@ def steering_adaptation(
 
     # The healthy static row anchors the congestion plan.
     rows: dict[tuple[str, str], SteeringBenchPoint] = {}
-    run, name = _run(kernel, readers, machine, seed, static_policy(), None, telemetry)
+    run, name = _run(kernel, readers, machine, seed, static_policy(), None, None)
     rows[("static", "none")] = _point(run, name, "static", "none")
     anchor = run.app(name).walltime * _ANCHOR_FRACTION
 
-    run, name = _run(kernel, readers, machine, seed, bench_policy(), None, telemetry)
+    run, name = _run(kernel, readers, machine, seed, bench_policy(), None, None)
     rows[("adaptive", "none")] = _point(run, name, "adaptive", "none")
 
     plan = FaultPlan(
@@ -241,7 +247,7 @@ def steering_adaptation(
                          factor=_DEGRADE_FACTOR),),
         name="congestion",
     )
-    run, name = _run(kernel, readers, machine, seed, static_policy(), plan, telemetry)
+    run, name = _run(kernel, readers, machine, seed, static_policy(), plan, None)
     rows[("static", "congestion")] = _point(run, name, "static", "congestion")
 
     run, name = _run(kernel, readers, machine, seed, bench_policy(), plan, telemetry)

@@ -1,15 +1,10 @@
-"""Bench regression gate: payload diffing and the compare CLI."""
+"""Bench regression gate: committed baselines must match cell for cell."""
 
 import json
 
 import pytest
 
-from repro.bench.compare import (
-    compare_bench,
-    compare_files,
-    load_bench_json,
-    metric_direction,
-)
+from repro.bench.compare import compare_bench, load_bench_json
 from repro.bench.__main__ import main as bench_main
 from repro.errors import ConfigError
 
@@ -29,84 +24,53 @@ def payload(rows, columns=("writers", "throughput_GBps", "overhead_pct"),
 BASE = payload([["64", "10.0", "5.0"], ["128", "20.0", "5.0"]])
 
 
-class TestDirection:
-    def test_classification(self):
-        assert metric_direction("throughput_GBps") == "higher"
-        assert metric_direction("fs_scaled_GBps") == "higher"
-        assert metric_direction("bi_bandwidth") == "higher"
-        assert metric_direction("overhead_pct") == "lower"
-        assert metric_direction("walltime_s") == "lower"
-        assert metric_direction("trace_size_MB") == "lower"
-        assert metric_direction("writers") == "either"
-        assert metric_direction("ratio") == "either"
-
-    def test_selfperf_throughputs_are_higher_better(self):
-        assert metric_direction("kernel_events_per_s") == "higher"
-        assert metric_direction("stream_mb_per_s") == "higher"
-        assert metric_direction("codec_mb_per_s") == "higher"
-        assert metric_direction("frame_mb_per_s") == "higher"
-
-
 class TestCompare:
     def test_identical_passes(self):
         cmp = compare_bench(BASE, payload([["64", "10.0", "5.0"], ["128", "20.0", "5.0"]]))
         assert cmp.ok
-        assert cmp.regressions == []
+        assert cmp.differences == []
+        assert cmp.cells == 6
         assert "PASS" in cmp.render()
 
     def test_throughput_drop_regresses(self):
         cand = payload([["64", "8.0", "5.0"], ["128", "20.0", "5.0"]])
-        cmp = compare_bench(BASE, cand, tolerance=0.05)
+        cmp = compare_bench(BASE, cand)
         assert not cmp.ok
-        assert len(cmp.regressions) == 1
-        d = cmp.regressions[0]
-        assert d.column == "throughput_GBps" and d.row == 0
-        assert d.rel_delta == pytest.approx(-0.2)
+        assert cmp.differences == ["row 0 throughput_GBps: '10.0' -> '8.0'"]
         assert "FAIL" in cmp.render()
 
-    def test_throughput_gain_improves_never_fails(self):
-        cand = payload([["64", "15.0", "5.0"], ["128", "40.0", "5.0"]])
+    def test_four_percent_drop_fails(self):
+        cand = payload([["64", "10.0", "5.0"], ["128", "19.2", "5.0"]])
         cmp = compare_bench(BASE, cand)
-        assert cmp.ok
-        assert len(cmp.improvements) == 2
+        assert cmp.differences == ["row 1 throughput_GBps: '20.0' -> '19.2'"]
 
-    def test_overhead_growth_regresses_and_shrink_improves(self):
+    def test_one_and_a_half_times_gain_fails(self):
+        cand = payload([["64", "15.0", "5.0"], ["128", "30.0", "5.0"]])
+        cmp = compare_bench(BASE, cand)
+        assert not cmp.ok
+        assert cmp.differences == [
+            "row 0 throughput_GBps: '10.0' -> '15.0'",
+            "row 1 throughput_GBps: '20.0' -> '30.0'",
+        ]
+
+    def test_overhead_growth_and_shrink_both_fail(self):
         worse = payload([["64", "10.0", "6.0"], ["128", "20.0", "5.0"]])
         assert not compare_bench(BASE, worse).ok
         better = payload([["64", "10.0", "4.0"], ["128", "20.0", "5.0"]])
-        cmp = compare_bench(BASE, better)
-        assert cmp.ok and len(cmp.improvements) == 1
+        assert compare_bench(BASE, better).differences == [
+            "row 0 overhead_pct: '5.0' -> '4.0'"
+        ]
 
     def test_parameter_drift_regresses_both_directions(self):
-        cand = payload([["70", "10.0", "5.0"], ["128", "20.0", "5.0"]])
-        cmp = compare_bench(BASE, cand)
-        assert not cmp.ok
-        assert cmp.regressions[0].column == "writers"
+        for writers in ("70", "60"):
+            cand = payload([[writers, "10.0", "5.0"], ["128", "20.0", "5.0"]])
+            cmp = compare_bench(BASE, cand)
+            assert cmp.differences == [f"row 0 writers: '64' -> '{writers}'"]
 
-    def test_within_tolerance_is_ok(self):
-        cand = payload([["64", "9.8", "5.1"], ["128", "20.0", "5.0"]])
-        cmp = compare_bench(BASE, cand, tolerance=0.05)
-        assert cmp.ok
-        assert cmp.improvements == []
-
-    def test_per_metric_tolerance_overrides_default(self):
-        cand = payload([["64", "8.0", "5.0"], ["128", "20.0", "5.0"]])
-        loose = compare_bench(BASE, cand, per_metric={"throughput_GBps": 0.3})
-        assert loose.ok
-        tight = compare_bench(
-            BASE, payload([["64", "9.9", "5.0"], ["128", "20.0", "5.0"]]),
-            per_metric={"throughput_GBps": 0.001},
-        )
-        assert not tight.ok
-
-    def test_zero_baseline_handles_divide(self):
+    def test_zero_baseline_cells_compare_exactly(self):
         base = payload([["64", "0.0", "5.0"]])
-        same = payload([["64", "0.0", "5.0"]])
-        assert compare_bench(base, same).ok
-        grew = payload([["64", "3.0", "5.0"]])
-        cmp = compare_bench(base, grew)
-        assert cmp.ok  # higher-better from zero is an improvement
-        assert cmp.improvements[0].rel_delta == float("inf")
+        assert compare_bench(base, payload([["64", "0.0", "5.0"]])).ok
+        assert not compare_bench(base, payload([["64", "3.0", "5.0"]])).ok
 
     def test_textual_cells_must_match(self):
         cols = ("tool", "overhead_pct")
@@ -114,51 +78,34 @@ class TestCompare:
         ok = payload([["mpiP", "5.0"]], columns=cols, experiment="fig16")
         assert compare_bench(base, ok).ok
         renamed = payload([["Scalasca", "5.0"]], columns=cols, experiment="fig16")
-        assert not compare_bench(base, renamed).ok
+        assert compare_bench(base, renamed).differences == [
+            "row 0 tool: 'mpiP' -> 'Scalasca'"
+        ]
 
     def test_elapsed_is_never_compared(self):
-        cols = ("writers", "elapsed_s")
-        base = payload([["64", "1.0"]], columns=cols)
-        cand = payload([["64", "99.0"]], columns=cols)
-        assert compare_bench(base, cand).ok
+        assert compare_bench(BASE, dict(BASE, elapsed_s=99.0)).ok
 
+    def test_host_header_is_never_compared(self):
+        host = {"python": "3.11.7", "cpu_count": 1}
+        other = {"python": "3.12.1", "cpu_count": 2}
+        assert compare_bench(dict(BASE, host=host), dict(BASE, host=other)).ok
+        assert compare_bench(BASE, dict(BASE, host=host)).ok
 
-HOST = {
-    "python": "3.11.7", "implementation": "CPython",
-    "platform": "Linux-x86_64", "machine": "x86_64", "cpu_count": 8,
-}
-
-
-class TestEnvironmentWarnings:
-    def test_matching_hosts_are_silent(self):
-        base, cand = dict(BASE, host=dict(HOST)), dict(BASE, host=dict(HOST))
-        cmp = compare_bench(base, cand)
-        assert cmp.ok and cmp.warnings == []
-
-    def test_mismatch_warns_but_never_fails(self):
-        other = dict(HOST, python="3.12.1", cpu_count=2)
-        cmp = compare_bench(dict(BASE, host=dict(HOST)), dict(BASE, host=other))
-        assert cmp.ok  # warnings are informational only
-        assert len(cmp.warnings) == 2
-        rendered = cmp.render()
-        assert "[~] warning" in rendered and "PASS" in rendered
-        assert any("python" in w and "3.12.1" in w for w in cmp.warnings)
-
-    def test_artefacts_without_header_compare_silently(self):
-        assert compare_bench(BASE, dict(BASE, host=dict(HOST))).warnings == []
-        assert compare_bench(dict(BASE, host=dict(HOST)), BASE).warnings == []
+    def test_cell_type_is_part_of_the_value(self):
+        cand = payload([["64", 10.0, "5.0"], ["128", "20.0", "5.0"]])
+        assert not compare_bench(BASE, cand).ok
 
 
 class TestStructural:
     def test_experiment_mismatch(self):
         cmp = compare_bench(BASE, payload([["64", "10.0", "5.0"]], experiment="fig15"))
         assert not cmp.ok
-        assert "experiment mismatch" in cmp.structural[0]
+        assert cmp.differences == ["experiment: 'fig14' -> 'fig15'"]
 
     def test_row_count_change(self):
         cmp = compare_bench(BASE, payload([["64", "10.0", "5.0"]]))
         assert not cmp.ok
-        assert any("row count" in s for s in cmp.structural)
+        assert cmp.differences == ["row count: 2 -> 1"]
 
     def test_column_changes(self):
         cand = payload(
@@ -166,13 +113,11 @@ class TestStructural:
         )
         cmp = compare_bench(BASE, cand)
         assert not cmp.ok
-        assert any("lost columns" in s for s in cmp.structural)
+        assert cmp.differences[0].startswith("columns: ")
 
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ConfigError):
-            compare_bench(BASE, BASE, tolerance=-1.0)
-        with pytest.raises(ConfigError):
-            compare_bench(BASE, BASE, per_metric={"x": -0.1})
+    def test_ragged_in_memory_payload_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="candidate: row 1"):
+            compare_bench(BASE, payload([["64", "10.0", "5.0"], ["128", "20.0"]]))
 
 
 class TestFiles:
@@ -188,43 +133,33 @@ class TestFiles:
         with pytest.raises(ConfigError):
             load_bench_json(partial)
 
-    def test_compare_files_roundtrip(self, tmp_path):
+    @pytest.mark.parametrize(
+        "change, expected",
+        [
+            ({"rows": [["64", "10.0", "5.0"], ["128", "20.0"]]}, "row 1 "),
+            ({"rows": [["64", "10.0", "5.0", "7"]]}, "row 0 "),
+            ({"rows": "64,10.0,5.0"}, "'rows' is not a list"),
+            ({"columns": "writers"}, "'columns' is not a list"),
+        ],
+        ids=["short-row", "long-row", "rows-string", "columns-string"],
+    )
+    def test_load_rejects_ragged_tables(self, tmp_path, change, expected):
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(dict(BASE, **change)))
+        with pytest.raises(ConfigError, match=expected) as exc:
+            load_bench_json(path)
+        assert str(path) in str(exc.value)
+
+    def test_load_roundtrip(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         a.write_text(json.dumps(BASE))
         b.write_text(json.dumps(payload([["64", "8.0", "5.0"], ["128", "20.0", "5.0"]])))
-        assert compare_files(a, a).ok
-        assert not compare_files(a, b).ok
+        assert compare_bench(load_bench_json(a), load_bench_json(a)).ok
+        assert not compare_bench(load_bench_json(a), load_bench_json(b)).ok
 
 
 class TestCLI:
-    def test_compare_exit_codes(self, tmp_path, capsys):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        a.write_text(json.dumps(BASE))
-        b.write_text(json.dumps(payload([["64", "8.0", "5.0"], ["128", "20.0", "5.0"]])))
-        assert bench_main(["compare", str(a), str(a)]) == 0
-        assert "PASS" in capsys.readouterr().out
-        assert bench_main(["compare", str(a), str(b)]) == 1
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_compare_cli_tolerance_flags(self, tmp_path, capsys):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        a.write_text(json.dumps(BASE))
-        b.write_text(json.dumps(payload([["64", "8.0", "5.0"], ["128", "20.0", "5.0"]])))
-        assert bench_main(["compare", str(a), str(b), "--tolerance", "0.5"]) == 0
-        capsys.readouterr()
-        assert bench_main(
-            ["compare", str(a), str(b), "--metric-tolerance", "throughput_GBps=0.3"]
-        ) == 0
-
-    def test_compare_cli_bad_metric_tolerance(self, tmp_path):
-        a = tmp_path / "a.json"
-        a.write_text(json.dumps(BASE))
-        with pytest.raises(ConfigError):
-            bench_main(["compare", str(a), str(a), "--metric-tolerance", "nope"])
-
     def test_baseline_flag_rejected_with_all(self):
         with pytest.raises(SystemExit):
             bench_main(["all", "--baseline", "x.json"])
@@ -239,4 +174,20 @@ class TestCLI:
         ])
         out = capsys.readouterr().out
         assert rc == 0, out
-        assert "PASS" in out
+        assert "0 differences" in out and "PASS" in out
+
+    def test_baseline_with_one_changed_cell_exits_1(self, tmp_path, capsys):
+        baseline = load_bench_json("benchmarks/baselines/BENCH_metrics.json")
+        column = baseline["columns"].index("pe")
+        old = baseline["rows"][1][column]
+        new = f"{float(old) * 0.96:.6f}"
+        baseline["rows"][1][column] = new
+        changed = tmp_path / "BENCH_metrics.json"
+        changed.write_text(json.dumps(baseline))
+        rc = bench_main([
+            "metrics", "--scale", "small", "--baseline", str(changed),
+        ])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert f"row 1 pe: '{new}' -> '{old}'" in out
+        assert "1 differences" in out and "FAIL" in out

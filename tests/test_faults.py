@@ -264,6 +264,21 @@ def test_chaos_bench_single_plan(machine):
     assert len(table.rows) == 2
 
 
+@pytest.mark.chaos
+def test_chaos_sweep_rows_match_single_plan_runs():
+    # Each session owns its Telemetry: with one shared across the sweep,
+    # the drop row counted 25 alerts against 16 when run alone.
+    from repro.bench.chaos import chaos_resilience
+
+    sweep = chaos_resilience(scale="small", seed=0, telemetry=Telemetry())
+    alone = chaos_resilience(scale="small", seed=0, telemetry=Telemetry(), plan="drop")
+    by_plan = {p.plan: p for p in sweep.points}
+    assert [p.plan for p in alone.points] == ["none", "drop"]
+    assert by_plan["drop"].alerts == alone.points[1].alerts
+    assert by_plan["drop"] == alone.points[1]
+    assert by_plan["none"] == alone.points[0]
+
+
 def test_chaos_plan_loader(tmp_path):
     from repro.bench.chaos import load_plan
 

@@ -481,39 +481,3 @@ class TestSessionWiring:
         _tmp, on, _r_on = observed
         with pytest.raises(ConfigError):
             on.enable_observability()
-
-
-# -- bench compare schema warning ---------------------------------------------------
-
-
-class TestCompareSchemaWarning:
-    def test_unknown_baseline_schema_warns_not_fails(self):
-        from repro.bench.compare import compare_bench
-
-        base = {
-            "experiment": "obs",
-            "columns": ["schema", "bus_records"],
-            "rows": [["repro.telemetry/1", 3]],
-            "bus": {"schemas": {"repro.retired-plane/1": {"x": 1}}},
-            "records": [{"schema": "repro.retired-plane/1", "kind": "x"}],
-        }
-        cand = {
-            "experiment": "obs",
-            "columns": ["schema", "bus_records"],
-            "rows": [["repro.telemetry/1", 3]],
-        }
-        cmp = compare_bench(base, cand)
-        assert cmp.ok
-        assert any("repro.retired-plane/1" in w for w in cmp.warnings)
-
-    def test_known_schemas_no_warning(self):
-        from repro.bench.compare import compare_bench
-
-        base = {
-            "experiment": "obs",
-            "columns": ["schema"],
-            "rows": [["repro.telemetry/1"]],
-            "bus": {"schemas": {TELEMETRY_SCHEMA: {"span": 1}}},
-        }
-        cmp = compare_bench(base, dict(base))
-        assert cmp.ok and not any("schema tag" in w for w in cmp.warnings)

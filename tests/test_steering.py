@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.apps.nas import SP
+from repro.bench.compare import load_bench_json
 from repro.bench.steering import bench_policy, steering_adaptation
 from repro.codec.frame import parse_frame
 from repro.core.session import CouplingSession
@@ -587,3 +589,14 @@ class TestBenchLane:
         assert (tmp_path / "steering_decisions.json").exists()
         table = result.table().render()
         assert "congestion" in table
+
+    def test_telemetry_leaves_rows_at_the_baseline(self):
+        # A shared Telemetry let the monitor of the later runs read the
+        # earlier runs' instruments (row 3 decisions went 4 -> 6).
+        telemetry = Telemetry()
+        result = steering_adaptation(scale="small", telemetry=telemetry)
+        baseline = load_bench_json(
+            Path(__file__).parent.parent / "benchmarks/baselines/BENCH_steering.json"
+        )
+        assert result.table().rows == baseline["rows"]
+        assert telemetry.spans  # the adaptive congested run used it
