@@ -4,17 +4,19 @@
 A synthetic two-phase workload — 40 balanced compute-heavy iterations,
 then 40 imbalanced communication-heavy ones — runs coupled to the
 analyzer with the online :class:`PopMetricsEngine` attached. The engine
-closes a metric window every few milliseconds of virtual time, streams
-each one to an NDJSON file the moment it closes (the file a visual
-frontend would ``tail -f``), and detects the phase boundary online with
+closes a metric window every few milliseconds of virtual time, publishes
+each one on the observability bus the moment it closes — a file sink
+subscribed to ``repro.pop-metrics/1`` writes the NDJSON file a visual
+frontend would ``tail -f`` — and detects the phase boundary online with
 a change-point test. Afterwards we:
 
 1. print an ASCII sparkline of parallel efficiency over the windows,
 2. show the detected phases (the seam lands at the workload's true
    transition),
-3. replay the NDJSON stream through the validating loader and recombine
-   the per-phase per-rank sums — reproducing the end-of-run metrics
-   exactly, the telescoping property the bench lane gates on.
+3. replay the NDJSON file, validating every record against the schema
+   registry, and recombine the per-phase per-rank sums — reproducing the
+   end-of-run metrics exactly, the telescoping property the POP tests
+   assert.
 
 Run:  python examples/pop_metrics.py
 """
@@ -24,7 +26,8 @@ import tempfile
 
 from repro.apps.base import AppKernel
 from repro.core.session import CouplingSession
-from repro.telemetry import PopConfig, Telemetry, read_metrics_stream
+from repro.obs import METRICS_SCHEMA, REGISTRY, FileSink, iter_ndjson
+from repro.telemetry import PopConfig, Telemetry
 from repro.telemetry.popmetrics import SUM_KEYS, metrics_from_sums
 
 BARS = " .:-=+*#%@"
@@ -64,7 +67,10 @@ def main() -> None:
     session = CouplingSession(seed=3, telemetry=Telemetry())
     session.add_application(TwoPhase(), name="twophase")
     session.set_analyzer(nprocs=2)
-    session.enable_pop_metrics(PopConfig(window=0.004), stream=ndjson)
+    session.enable_pop_metrics(PopConfig(window=0.004))
+    session.enable_observability().add_sink(
+        FileSink(ndjson), schemas=[METRICS_SCHEMA]
+    )
     result = session.run()
 
     summary = result.efficiency
@@ -86,7 +92,9 @@ def main() -> None:
               f"LB={m['load_balance']:.3f}  CommE={m['communication_efficiency']:.3f}")
 
     # 3. Replay the stream: phases recombine to the end-of-run metrics.
-    records = read_metrics_stream(ndjson)
+    records = [record for _offset, record in iter_ndjson(ndjson)]
+    for record in records:
+        REGISTRY.validate(record)
     kinds = [r["kind"] for r in records]
     print(f"\nNDJSON stream: {len(records)} records "
           f"({kinds.count('window')} windows, {kinds.count('phase')} phases, "

@@ -22,8 +22,8 @@ comments and strings never trip them:
 3. **One NDJSON writer** — outside ``repro/obs/``, no
    ``X.write(json.dumps(...))`` and no ``X.write(json.dumps(...) + "\n")``.
    Record files are written by :class:`repro.obs.sinks.FileSink` (the
-   engine's ``stream=`` file, ``write_jsonl``, the bus file sink), so
-   every plane's bytes come from one serializer.
+   bus file sinks and ``write_jsonl``), so every plane's bytes come from
+   one serializer.
 
 Exit status 0 when clean; 1 with one ``path:line: message`` per
 violation otherwise.  Run from the repository root::

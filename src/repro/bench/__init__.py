@@ -22,7 +22,7 @@ from repro.bench.steering import (
     bench_policy,
     steering_adaptation,
 )
-from repro.bench.harness import OverheadPoint, measure_overhead, sweep
+from repro.bench.harness import OverheadPoint, measure_overhead
 from repro.bench.figures import (
     fig14_stream_throughput,
     fig15_overhead,
@@ -42,7 +42,6 @@ __all__ = [
     "load_bench_json",
     "OverheadPoint",
     "measure_overhead",
-    "sweep",
     "ChaosPoint",
     "ChaosResult",
     "chaos_resilience",

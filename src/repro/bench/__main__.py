@@ -18,20 +18,22 @@ Usage::
     python -m repro.bench steering
     python -m repro.bench all
 
-Every experiment sub-command shares one argparse parent, so the common
-flags (``--scale/--seed/--csv/--json/--telemetry/--profile/--outdir/
---baseline``) are defined exactly once;
+Every experiment runs through one path: its function is called with
+``scale``, ``seed`` and ``telemetry`` plus the sub-command's own flags,
+its table is printed, and its artefacts are written.  The common flags
+(``--scale/--seed/--csv/--json/--telemetry/--profile/--outdir/
+--baseline``) are defined once on a shared argparse parent;
 experiment-specific flags (``chaos --chaos PLAN``) live on their own
-sub-command.
+sub-command and reach the function as keywords.
 
 With ``--json`` each experiment additionally writes ``BENCH_<name>.json``
-(table rows + metadata + a host-environment header); adding
-``--telemetry`` runs the measurement pipeline itself instrumented, embeds
-the self-telemetry summary in the JSON, and dumps
-``BENCH_<name>.trace.json`` — a Chrome trace-event file loadable in
-Perfetto or ``chrome://tracing``.  ``metrics --json`` also streams
-``BENCH_metrics.ndjson``, the incremental NDJSON window/phase export;
-``steering --json`` dumps the adaptive run's decision log.
+(table rows + metadata + a host-environment header) and the result's side
+files (``BENCH_metrics.ndjson``, the POP window/phase records;
+``BENCH_obs.ndjson``, the unified bus stream; ``steering_decisions.json``,
+the adaptive run's decision log); adding ``--telemetry`` runs the
+measurement pipeline itself instrumented, embeds the self-telemetry
+summary in the JSON, and dumps ``BENCH_<name>.trace.json`` — a Chrome
+trace-event file loadable in Perfetto or ``chrome://tracing``.
 ``--profile`` wraps the driver in ``cProfile``, prints a top-N hotspot
 table and dumps ``BENCH_<name>.pstats`` for ``snakeviz``/``pstats``.
 
@@ -86,6 +88,22 @@ _DRIVERS = {
     "metrics": metrics_timeline,
     "obs": obs_roundtrip,
     "steering": steering_adaptation,
+}
+
+#: flags only one sub-command takes; each ``dest`` is an experiment keyword
+_LANE_FLAGS = {
+    "chaos": [
+        (
+            "--chaos",
+            dict(
+                dest="plan",
+                metavar="PLAN",
+                help="fault plan: a canned name (crash1, degrade, corrupt, "
+                "drop, stall, mixed) or a JSON plan file; default: sweep "
+                "every canned plan",
+            ),
+        )
+    ],
 }
 
 #: functions shown in the --profile hotspot table
@@ -144,20 +162,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="experiment")
     common = _common_parser()
-    for name in sorted(_DRIVERS) + ["all"]:
+    for name in sorted(_DRIVERS):
         experiment = sub.add_parser(
-            name,
-            parents=[common],
-            help=f"run the {name} sweep" if name != "all" else "run every experiment",
+            name, parents=[common], help=f"run the {name} sweep"
         )
-        if name == "chaos":
-            experiment.add_argument(
-                "--chaos",
-                metavar="PLAN",
-                help="fault plan: a canned name (crash1, degrade, corrupt, "
-                "drop, stall, mixed) or a JSON plan file; default: sweep "
-                "every canned plan",
-            )
+        experiment.set_defaults(names=[name])
+        for flag, options in _LANE_FLAGS.get(name, ()):
+            experiment.add_argument(flag, **options)
+    every = sub.add_parser("all", parents=[common], help="run every experiment")
+    every.set_defaults(names=sorted(_DRIVERS))
     return parser
 
 
@@ -167,26 +180,20 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.telemetry:
         args.json = True
-    if args.baseline and args.experiment == "all":
+    if args.baseline and len(args.names) > 1:
         parser.error("--baseline gates a single experiment, not 'all'")
 
     outdir = Path(args.outdir)
     if args.json or args.profile:
         outdir.mkdir(parents=True, exist_ok=True)
 
-    names = sorted(_DRIVERS) if args.experiment == "all" else [args.experiment]
-    for name in names:
+    kwargs = {
+        options["dest"]: getattr(args, options["dest"])
+        for _flag, options in _LANE_FLAGS.get(args.experiment, ())
+    }
+    for name in args.names:
         driver = _DRIVERS[name]
         telemetry = Telemetry() if args.telemetry else None
-        kwargs = {}
-        if name == "chaos" and getattr(args, "chaos", None):
-            kwargs["plan"] = args.chaos
-        if name == "metrics" and args.json:
-            kwargs["ndjson_dir"] = str(outdir)
-        if name == "obs" and args.json:
-            kwargs["ndjson_dir"] = str(outdir)
-        if name == "steering" and args.json:
-            kwargs["decisions_dir"] = str(outdir)
         stem = name.replace("-", "_")
         profiler = cProfile.Profile() if args.profile else None
         t0 = host_now()
@@ -221,9 +228,10 @@ def main(argv: list[str] | None = None) -> int:
                 trace_path = outdir / f"BENCH_{stem}.trace.json"
                 telemetry.write_chrome_trace(trace_path)
                 print(f"[{name}: Chrome trace -> {trace_path}]")
-            if name == "obs":
-                payload["bus"] = result.bus
-                payload["overhead_ratio"] = result.overhead_ratio
+            for filename, text in getattr(result, "side_files", {}).items():
+                side_path = outdir / filename
+                side_path.write_text(text)
+                print(f"[{name}: {filename} -> {side_path}]")
             if hotspots is not None:
                 payload["profile"] = hotspots
             json_path = outdir / f"BENCH_{stem}.json"

@@ -20,7 +20,7 @@ from repro.core.session import CouplingSession
 from repro.errors import ConfigError
 from repro.faults import CANNED_PLANS, FaultPlan, make_plan
 from repro.instrument.overhead import InstrumentationCost
-from repro.network.machine import MachineSpec, TERA100
+from repro.network.machine import TERA100
 from repro.telemetry import Telemetry
 from repro.util.tables import Table
 
@@ -106,17 +106,16 @@ def _workload(scale: str):
     raise ConfigError(f"unknown scale {scale!r}")
 
 
-def _session(kernel, readers, machine, seed, telemetry):
+def _session(kernel, readers, seed, telemetry):
     # Small packs so every writer flushes a stream of them: the tamper
     # faults ("every Nth pack") and the loss accounting need traffic.
     cost = InstrumentationCost(block_size=4096, na_buffers=2)
     session = CouplingSession(
-        machine=machine, seed=seed, instrumentation=cost, telemetry=telemetry
+        machine=TERA100, seed=seed, instrumentation=cost, telemetry=telemetry
     )
     name = session.add_application(kernel)
     session.set_analyzer(nprocs=readers)
-    if telemetry is not None:
-        session.enable_monitor()
+    session.enable_monitor()
     return session, name
 
 
@@ -143,7 +142,6 @@ def _point(result, name: str, plan_label: str, readers: int) -> ChaosPoint:
 
 def chaos_resilience(
     scale: str = "small",
-    machine: MachineSpec = TERA100,
     seed: int = 0,
     telemetry: Telemetry | None = None,
     plan: str | FaultPlan | None = None,
@@ -153,18 +151,21 @@ def chaos_resilience(
     ``plan`` narrows the sweep to one plan (a canned name, a JSON plan
     file, or a :class:`FaultPlan`); by default every canned plan runs.
 
-    With ``telemetry`` every session runs with a health monitor on its own
+    Every session runs with a health monitor on its own
     :class:`Telemetry`: the monitor reads the session's instruments, so a
     shared one would carry earlier plans' counts into later plans'
-    ``alerts``.  The ``telemetry`` passed in is used by the healthy
-    (``none``) session only, so its trace shows the plan-free run.
+    ``alerts``.  A ``telemetry`` passed in is used by the healthy
+    (``none``) session only, so its trace shows the plan-free run and the
+    rows are the same with or without it.
     """
     kernel, readers = _workload(scale)
-    result = ChaosResult(machine=machine.name, scale=scale, seed=seed)
+    result = ChaosResult(machine=TERA100.name, scale=scale, seed=seed)
 
     # Healthy baseline: supplies the row of reference numbers and the
     # wall-time that anchors the canned plans mid-streaming-phase.
-    session, name = _session(kernel, readers, machine, seed, telemetry)
+    session, name = _session(
+        kernel, readers, seed, telemetry if telemetry is not None else Telemetry()
+    )
     healthy = session.run()
     result.points.append(_point(healthy, name, "none", readers))
     anchor = healthy.app(name).walltime * _ANCHOR_FRACTION
@@ -178,8 +179,7 @@ def chaos_resilience(
         plans = [(resolved.name, resolved)]
 
     for label, fault_plan in plans:
-        own = Telemetry() if telemetry is not None else None
-        session, name = _session(kernel, readers, machine, seed, own)
+        session, name = _session(kernel, readers, seed, Telemetry())
         session.inject_faults(fault_plan)
         chaotic = session.run()
         result.points.append(_point(chaotic, name, label, readers))

@@ -8,13 +8,12 @@ charged for encoding and decoding, and the end-to-end slowdown against
 the identity chain.  One table row per chain, so ``BENCH_codec.json``
 *is* the reduction trade-off document.
 
-Internal consistency is asserted on every row before it is emitted:
-
-* no pack may be rejected (every descriptor must round-trip);
-* lossless chains must deliver exactly the identity chain's event count;
-* the session's reduction accounting must telescope — writer-side wire
-  bytes equal analyzer-side wire bytes ingested;
-* compressing chains must actually compress (``ratio < 1``).
+The committed baseline pins every cell, which includes each chain's
+``events`` (lossless chains deliver the identity chain's count) and
+``ratio`` (compressing chains compress).  On this lane's workload,
+``tests/test_codec_session.py`` asserts for every chain that no pack is
+rejected, no event is lost, and writer-side and analyzer-side wire bytes
+agree.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from repro.apps.nas import SP
 from repro.core.session import CouplingSession
 from repro.errors import ConfigError
 from repro.instrument.overhead import InstrumentationCost
-from repro.network.machine import MachineSpec, TERA100
+from repro.network.machine import TERA100
 from repro.telemetry import Telemetry
 from repro.util.tables import Table
 
@@ -89,27 +88,22 @@ def _workload(scale: str):
 
 def codec_reduction(
     scale: str = "small",
-    machine: MachineSpec = TERA100,
     seed: int = 0,
     telemetry: Telemetry | None = None,
-    chains: tuple[str, ...] = CHAINS,
 ) -> CodecResult:
     """Sweep reduction chains over the coupled workload.
 
-    The identity chain runs first and anchors the slowdown column; each
-    subsequent chain is gated on the consistency invariants listed in the
-    module docstring before its row is recorded.
+    The identity chain runs first and anchors the slowdown column.
     """
     kernel = _workload(scale)
-    result = CodecResult(machine=machine.name, scale=scale, seed=seed)
+    result = CodecResult(machine=TERA100.name, scale=scale, seed=seed)
     # Small packs so every writer emits a stream of them: per-pack ratio
     # statistics need many frames, not one tail flush per rank.
     cost = InstrumentationCost(block_size=4096, na_buffers=2)
     base_walltime = None
-    base_events = None
-    for chain in chains:
+    for chain in CHAINS:
         session = CouplingSession(
-            machine=machine, seed=seed, instrumentation=cost, telemetry=telemetry
+            machine=TERA100, seed=seed, instrumentation=cost, telemetry=telemetry
         )
         name = session.add_application(kernel)
         session.set_analyzer(ratio=4.0)
@@ -118,25 +112,11 @@ def codec_reduction(
         run = session.run()
         app = run.app(name)
         stats = run.analyzer_stats
-        if stats["packs_rejected"] != 0:
-            raise ConfigError(
-                f"chain {chain!r}: {stats['packs_rejected']} packs rejected "
-                f"({stats['rejects_by_cause']})"
-            )
         if chain:
             red = run.reduction
             bytes_content, bytes_wire = red["bytes_content"], red["bytes_wire"]
             ratio = red["ratio"]
             encode_cpu, decode_cpu = red["encode_cpu_s"], red["decode_cpu_s"]
-            if bytes_wire != stats["bytes_wire"]:
-                raise ConfigError(
-                    f"chain {chain!r}: writer wire bytes {bytes_wire} != "
-                    f"analyzer wire bytes {stats['bytes_wire']}"
-                )
-            if ratio >= 1.0:
-                raise ConfigError(
-                    f"chain {chain!r} expands the stream: ratio {ratio:.4f}"
-                )
         else:
             # Aggregated over every analyzer rank: modelled content bytes
             # ingested and the physical frame bytes that carried them.
@@ -144,12 +124,6 @@ def codec_reduction(
             bytes_wire = stats["bytes_wire"]
             ratio = bytes_wire / bytes_content if bytes_content else 0.0
             encode_cpu = decode_cpu = 0.0
-        if base_events is None:
-            base_events = app.events
-        elif app.events != base_events:
-            raise ConfigError(
-                f"chain {chain!r} lost events: {app.events} != {base_events}"
-            )
         if base_walltime is None:
             base_walltime = app.walltime
         result.points.append(

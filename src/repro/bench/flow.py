@@ -9,8 +9,9 @@ per ratio, so the ``BENCH_flow.json`` artefact *is* the stage-attribution
 document — no side-channel files.
 
 Because the stages telescope, each configuration's stage ``total_s`` values
-sum to its end-to-end total exactly; the driver asserts this invariant on
-every row group it emits (``consistency`` column, fractional error).
+sum to its end-to-end total; the ``consistency`` column reports the
+fractional error, the committed baseline pins it and
+``tests/test_provenance.py`` asserts the telescoping.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.apps.nas import SP
 from repro.core.session import CouplingSession
 from repro.errors import ConfigError
 from repro.instrument.overhead import InstrumentationCost
-from repro.network.machine import MachineSpec, TERA100
+from repro.network.machine import TERA100
 from repro.telemetry import Telemetry
 from repro.telemetry.provenance import STAGES
 from repro.util.tables import Table
@@ -52,7 +53,6 @@ class FlowResult:
     machine: str
     scale: str
     seed: int
-    sample_rate: float
     points: list[FlowPoint] = field(default_factory=list)
 
     def table(self) -> Table:
@@ -84,31 +84,27 @@ def _workload(scale: str):
 
 def flow_attribution(
     scale: str = "small",
-    machine: MachineSpec = TERA100,
     seed: int = 0,
     telemetry: Telemetry | None = None,
-    sample_rate: float = 1.0,
 ) -> FlowResult:
     """Sweep the writer/reader ratio and attribute per-stage latency.
 
-    Each configuration runs with full (or ``sample_rate``-bounded) flow
-    tracing; undersized analyzers surface as growing ``stall`` and
-    ``dwell`` shares — backpressure made visible stage by stage.
+    Each configuration runs with full flow tracing; undersized analyzers
+    surface as growing ``stall`` and ``dwell`` shares — backpressure made
+    visible stage by stage.
     """
     kernel, ratios = _workload(scale)
-    result = FlowResult(
-        machine=machine.name, scale=scale, seed=seed, sample_rate=sample_rate
-    )
+    result = FlowResult(machine=TERA100.name, scale=scale, seed=seed)
     # Small packs so every writer flushes a stream of them: latency
     # attribution needs per-pack samples, not one tail flush per rank.
     cost = InstrumentationCost(block_size=4096, na_buffers=2)
     for ratio in ratios:
         session = CouplingSession(
-            machine=machine, seed=seed, instrumentation=cost, telemetry=telemetry
+            machine=TERA100, seed=seed, instrumentation=cost, telemetry=telemetry
         )
         session.add_application(kernel)
         readers = session.set_analyzer(ratio=ratio)
-        session.enable_provenance(sample_rate=sample_rate)
+        session.enable_provenance()
         run = session.run()
         flows = run.flows
         end = flows["end_to_end"]
@@ -118,11 +114,6 @@ def flow_attribution(
             if end["total_s"] > 0
             else 0.0
         )
-        if consistency > 1e-9:
-            raise ConfigError(
-                f"flow stage totals do not telescope at ratio {ratio}: "
-                f"{stage_sum} vs {end['total_s']}"
-            )
         for stage in STAGES:
             s = flows["stages"][stage]
             result.points.append(

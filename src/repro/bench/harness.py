@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
 
 from repro.analysis.engine import AnalysisConfig
 from repro.apps.base import AppKernel
@@ -71,21 +70,6 @@ def measure_overhead(
         events=run.events,
         modeled_stream_bytes=run.modeled_stream_bytes,
     )
-
-
-def sweep(
-    configs: Iterable[Any],
-    runner: Callable[[Any], Any],
-    *,
-    progress: Callable[[str], None] | None = None,
-) -> list[Any]:
-    """Run ``runner`` over configs, optionally reporting progress."""
-    results = []
-    for config in configs:
-        if progress is not None:
-            progress(f"running {config}")
-        results.append(runner(config))
-    return results
 
 
 #: The paper's reader-count rule (Figure 14 caption):

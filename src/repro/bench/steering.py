@@ -9,14 +9,14 @@ threshold so every 4 KiB pack crosses the degraded link as a rendezvous
 transfer — eager sends would complete into MPI buffering and writers would
 never feel the congestion.
 
-The lane self-gates: under congestion the adaptive policy must make at
-least one decision, lose strictly fewer packs than the static run and hold
-at least the static analyzed-event throughput; on the healthy workload it
-must make *zero* decisions.  A violated gate raises
-:class:`~repro.errors.ConfigError`, so ``python -m repro.bench steering``
-fails loudly in CI without needing a baseline diff.  That idle steering
-leaves the run bit-identical is asserted by
-``tests/test_observer_invariance.py``, not re-run here.
+The committed baseline pins every cell of the grid, and
+``tests/test_steering.py::TestBenchLane`` asserts what the grid must show:
+under congestion the adaptive policy makes at least one decision, loses
+strictly fewer packs than the static run and holds at least the static
+analyzed-event throughput; on the healthy workload it makes *zero*
+decisions.  That idle steering leaves the run bit-identical is asserted by
+``tests/test_observer_invariance.py``.  The adaptive congested run's
+decision log is the ``steering_decisions.json`` side file.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.apps.nas import SP
 from repro.core.session import CouplingSession, SessionResult
@@ -32,7 +31,7 @@ from repro.errors import ConfigError
 from repro.faults import LINK_DEGRADE, FaultPlan, FaultSpec
 from repro.instrument.overhead import InstrumentationCost
 from repro.mpi.costmodel import CostModel
-from repro.network.machine import MachineSpec, TERA100
+from repro.network.machine import TERA100
 from repro.steering import SteeringPolicy
 from repro.steering.policy import static_policy
 from repro.telemetry import Telemetry
@@ -90,14 +89,14 @@ class SteeringBenchPoint:
 
 @dataclass
 class SteeringBenchResult:
-    """Static-versus-adaptive sweep, plus the adaptive decision log."""
+    """Static-versus-adaptive sweep."""
 
     machine: str
     scale: str
     seed: int
     points: list[SteeringBenchPoint] = field(default_factory=list)
-    #: ``SteeringController.summary()`` of the adaptive congested run
-    decision_log: dict | None = field(default=None, repr=False)
+    #: side file name -> text, written next to the JSON by ``--json``
+    side_files: dict[str, str] = field(default_factory=dict, repr=False)
 
     def table(self) -> Table:
         t = Table(
@@ -128,12 +127,12 @@ def _workload(scale: str):
     raise ConfigError(f"unknown scale {scale!r}")
 
 
-def _run(kernel, readers: int, machine: MachineSpec, seed: int,
-         policy: SteeringPolicy, plan: FaultPlan | None,
+def _run(kernel, readers: int, seed: int, policy: SteeringPolicy,
+         plan: FaultPlan | None,
          telemetry: Telemetry | None) -> tuple[SessionResult, str]:
     # Writers must share nodes 0-1 while the analyzer sits alone on node 2:
     # only inter-node traffic touches the NIC the congestion plan degrades.
-    mach = dataclasses.replace(machine, cores_per_node=_CORES_PER_NODE)
+    mach = dataclasses.replace(TERA100, cores_per_node=_CORES_PER_NODE)
     cost = dataclasses.replace(
         CostModel.for_machine(mach, ranks_per_node=_CORES_PER_NODE),
         eager_threshold=_EAGER_THRESHOLD,
@@ -181,87 +180,41 @@ def _point(result: SessionResult, name: str, policy: str, plan: str) -> Steering
     )
 
 
-def _lost(p: SteeringBenchPoint) -> int:
-    return p.packs_dropped + p.packs_stranded
-
-
-def _gate(healthy_adaptive: SteeringBenchPoint,
-          congested_static: SteeringBenchPoint,
-          congested_adaptive: SteeringBenchPoint) -> None:
-    """The lane's acceptance criteria; ConfigError names the broken gate."""
-    if healthy_adaptive.decisions != 0:
-        raise ConfigError(
-            f"steering gate: adaptive policy made {healthy_adaptive.decisions} "
-            "decisions on the healthy workload (expected none)"
-        )
-    if congested_adaptive.decisions < 1:
-        raise ConfigError(
-            "steering gate: congestion plan triggered no adaptive decisions"
-        )
-    if not _lost(congested_adaptive) < _lost(congested_static):
-        raise ConfigError(
-            "steering gate: adaptive policy did not cut pack loss "
-            f"({_lost(congested_adaptive)} lost vs static {_lost(congested_static)})"
-        )
-    if congested_adaptive.events_per_s < congested_static.events_per_s:
-        raise ConfigError(
-            "steering gate: adaptive throughput "
-            f"{congested_adaptive.events_per_s:.1f} ev/s fell below static "
-            f"{congested_static.events_per_s:.1f} ev/s under congestion"
-        )
-
-
 def steering_adaptation(
     scale: str = "small",
-    machine: MachineSpec = TERA100,
     seed: int = 0,
     telemetry: Telemetry | None = None,
-    decisions_dir: str | None = None,
 ) -> SteeringBenchResult:
-    """Run the static/adaptive × healthy/congested grid and self-gate.
+    """Run the static/adaptive × healthy/congested grid.
 
     Every run gets its own :class:`Telemetry`, because the health monitor
     reads the session's instruments and a shared one would carry the
     earlier runs' counts into the later runs' alerts.  A ``telemetry``
     passed in is used by the adaptive congested run only, so its trace
     shows the steered session.
-
-    With ``decisions_dir`` the adaptive congested run's full decision log
-    (policy, alerts seen, per-decision trigger/latency data) is written to
-    ``steering_decisions.json`` for artefact upload.
     """
     kernel, readers = _workload(scale)
-    result = SteeringBenchResult(machine=machine.name, scale=scale, seed=seed)
+    result = SteeringBenchResult(machine=TERA100.name, scale=scale, seed=seed)
 
     # The healthy static row anchors the congestion plan.
-    rows: dict[tuple[str, str], SteeringBenchPoint] = {}
-    run, name = _run(kernel, readers, machine, seed, static_policy(), None, None)
-    rows[("static", "none")] = _point(run, name, "static", "none")
+    run, name = _run(kernel, readers, seed, static_policy(), None, None)
+    result.points.append(_point(run, name, "static", "none"))
     anchor = run.app(name).walltime * _ANCHOR_FRACTION
 
-    run, name = _run(kernel, readers, machine, seed, bench_policy(), None, None)
-    rows[("adaptive", "none")] = _point(run, name, "adaptive", "none")
+    run, name = _run(kernel, readers, seed, bench_policy(), None, None)
+    result.points.append(_point(run, name, "adaptive", "none"))
 
     plan = FaultPlan(
         specs=(FaultSpec(LINK_DEGRADE, at=anchor, target=-1,
                          factor=_DEGRADE_FACTOR),),
         name="congestion",
     )
-    run, name = _run(kernel, readers, machine, seed, static_policy(), plan, None)
-    rows[("static", "congestion")] = _point(run, name, "static", "congestion")
+    run, name = _run(kernel, readers, seed, static_policy(), plan, None)
+    result.points.append(_point(run, name, "static", "congestion"))
 
-    run, name = _run(kernel, readers, machine, seed, bench_policy(), plan, telemetry)
-    rows[("adaptive", "congestion")] = _point(run, name, "adaptive", "congestion")
-    result.decision_log = run.steering
-
-    for key in (("static", "none"), ("adaptive", "none"),
-                ("static", "congestion"), ("adaptive", "congestion")):
-        result.points.append(rows[key])
-
-    _gate(rows[("adaptive", "none")], rows[("static", "congestion")],
-          rows[("adaptive", "congestion")])
-
-    if decisions_dir is not None:
-        path = Path(decisions_dir) / "steering_decisions.json"
-        path.write_text(json.dumps(result.decision_log, indent=2, default=str))
+    run, name = _run(kernel, readers, seed, bench_policy(), plan, telemetry)
+    result.points.append(_point(run, name, "adaptive", "congestion"))
+    result.side_files["steering_decisions.json"] = json.dumps(
+        run.steering, indent=2, default=str
+    )
     return result

@@ -30,7 +30,7 @@ from repro.mpi.world import World
 from repro.network.machine import MachineSpec, TERA100
 from repro.obs.bus import ObservabilityBus
 from repro.obs.registry import HEALTH_SCHEMA, STEERING_SCHEMA, make_record
-from repro.obs.sinks import FileSink, RingSink
+from repro.obs.sinks import FileSink
 from repro.steering import SteeringController, SteeringPolicy
 from repro.telemetry import FlowRegistry, NULL_TELEMETRY, Telemetry
 from repro.telemetry.export import jsonl_records as _telemetry_records
@@ -134,10 +134,8 @@ class CouplingSession:
         self._fault_plan: FaultPlan | None = None
         self._flows: FlowRegistry | None = None
         self._pop: PopMetricsEngine | None = None
-        self._pop_file: FileSink | None = None
         self._steering: SteeringController | None = None
         self._obs: ObservabilityBus | None = None
-        self._obs_ring: RingSink | None = None
 
     # -- configuration ------------------------------------------------------------
 
@@ -219,11 +217,7 @@ class CouplingSession:
         self._monitor = HealthMonitor(self.telemetry, config=config)
         return self._monitor
 
-    def enable_pop_metrics(
-        self,
-        config: PopConfig | None = None,
-        stream: str | None = None,
-    ) -> PopMetricsEngine:
+    def enable_pop_metrics(self, config: PopConfig | None = None) -> PopMetricsEngine:
         """Compute time-resolved POP efficiency metrics over the run.
 
         The engine rides the kernel's periodic-callback hook: every
@@ -231,10 +225,11 @@ class CouplingSession:
         the interceptors' per-rank time decomposition, detects phase
         boundaries online via a change-point test on the windowed series,
         mirrors the metrics into ``pop.*`` gauges (Chrome-trace counter
-        tracks) and — with ``stream`` set — appends schema-versioned NDJSON
-        records to that path *as windows close*, so a frontend can tail
-        the file mid-run.  Requires live telemetry; observation-only, so
-        results are bit-identical with metrics on or off.
+        tracks) and hands each schema-versioned record to its sinks *as
+        windows close*; with :meth:`enable_observability` one of them is
+        the bus, whose flushed file a frontend can tail mid-run.  Requires
+        live telemetry; observation-only, so results are bit-identical
+        with metrics on or off.
 
         After :meth:`run`, :attr:`SessionResult.efficiency` and the
         report's "Efficiency timeline" section carry the summary.
@@ -247,9 +242,6 @@ class CouplingSession:
         if self._pop is not None:
             raise ConfigError("pop metrics already enabled for this session")
         self._pop = PopMetricsEngine(self.telemetry, config=config)
-        if stream is not None:
-            self._pop_file = FileSink(stream)
-            self._pop.add_sink(self._pop_file.emit)
         return self._pop
 
     @property
@@ -287,27 +279,18 @@ class CouplingSession:
     def steering(self) -> SteeringController | None:
         return self._steering
 
-    def enable_observability(
-        self,
-        path: str | None = None,
-        *,
-        ring: int | None = 1024,
-    ) -> ObservabilityBus:
+    def enable_observability(self, path: str | None = None) -> ObservabilityBus:
         """Attach the unified observability bus to the upcoming run.
 
         Every enabled plane publishes its schema-tagged records onto one
         :class:`~repro.obs.bus.ObservabilityBus`: POP metric windows,
         phases and the run summary *as they seal*, health alerts and
         steering decisions *as they fire*, and the telemetry record dump
-        at teardown.  Sinks:
-
-        * ``path`` — an NDJSON :class:`~repro.obs.sinks.FileSink` whose
-          byte stream for any single schema is identical to that plane's
-          own ``write_jsonl`` / ``stream=`` file.  It flushes every line,
-          so ``python -m repro.obs tail PATH --follow`` is the live feed;
-        * ``ring`` — a bounded in-memory :class:`~repro.obs.sinks.RingSink`
-          (None disables it) left queryable after the run via
-          :attr:`obs_ring`.
+        at teardown.  With ``path`` an NDJSON
+        :class:`~repro.obs.sinks.FileSink` receives every record; it
+        flushes every line, so ``python -m repro.obs tail PATH --follow``
+        is the live feed.  Further sinks, e.g. one file per schema, attach
+        with :meth:`~repro.obs.bus.ObservabilityBus.add_sink`.
 
         The bus is observation-only: it taps existing observation planes
         and never schedules events, so a run with the bus enabled is
@@ -320,19 +303,12 @@ class CouplingSession:
         bus = ObservabilityBus()
         if path is not None:
             bus.add_sink(FileSink(path), name="file")
-        if ring is not None:
-            self._obs_ring = RingSink(ring)
-            bus.add_sink(self._obs_ring, name="ring")
         self._obs = bus
         return bus
 
     @property
     def obs(self) -> ObservabilityBus | None:
         return self._obs
-
-    @property
-    def obs_ring(self) -> RingSink | None:
-        return self._obs_ring
 
     def enable_provenance(self, sample_rate: float = 1.0) -> FlowRegistry:
         """Trace causal pack flows through the upcoming run.
@@ -478,8 +454,6 @@ class CouplingSession:
         if self._pop is not None:
             self._pop.finalize(world.kernel.now)
             self._pop.detach()
-            if self._pop_file is not None:
-                self._pop_file.close()
 
         apps: dict[str, AppRun] = {}
         for name, kernel in self._apps:

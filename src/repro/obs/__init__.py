@@ -12,9 +12,8 @@ is not a record plane: ``perfbench/`` attributes it from outside.
   record-assembly point;
 * :mod:`repro.obs.bus` — :class:`ObservabilityBus`, validate-on-publish
   fan-out with per-sink delivery/drop/error accounting;
-* :mod:`repro.obs.sinks` — NDJSON :class:`FileSink` (the one record
-  writer every plane uses, flushed per line so it can be followed live)
-  and bounded :class:`RingSink` for in-process query;
+* :mod:`repro.obs.sinks` — NDJSON :class:`FileSink`, the one record
+  writer every plane uses, flushed per line so it can be followed live;
 * :mod:`repro.obs.archive` — torn-tail-tolerant NDJSON reading and the
   run-archive query engine behind ``python -m repro.obs``.
 
@@ -41,7 +40,7 @@ from repro.obs.registry import (
     make_record,
     record_time,
 )
-from repro.obs.sinks import FileSink, RingSink
+from repro.obs.sinks import FileSink
 
 __all__ = [
     "ObservabilityBus",
@@ -57,7 +56,6 @@ __all__ = [
     "HEALTH_SCHEMA",
     "STEERING_SCHEMA",
     "FileSink",
-    "RingSink",
     "iter_ndjson",
     "iter_archive",
     "match_record",

@@ -4,14 +4,11 @@ The paper's thesis — measurements should flow as *streams* consumed online,
 not post-mortem files — applied to the reproduction's own observability
 output.  Every plane (virtual-time telemetry, POP efficiency windows,
 health alerts, steering decisions) publishes schema-tagged records into
-one bus; pluggable sinks fan them out:
-
-* :class:`~repro.obs.sinks.FileSink` — JSONL/NDJSON files, the same
-  writer behind each plane's own ``write_jsonl`` / ``stream=`` file,
-  flushed per line so ``python -m repro.obs tail PATH --follow`` reads
-  it live;
-* :class:`~repro.obs.sinks.RingSink` — a bounded in-memory ring for live
-  queries mid-run.
+one bus; pluggable sinks, each subscribed to all schemas or a subset,
+fan them out.  The built-in one is :class:`~repro.obs.sinks.FileSink` —
+JSONL/NDJSON files, the same writer behind the telemetry ``write_jsonl``
+dump, flushed per line so ``python -m repro.obs tail PATH --follow``
+reads it live.
 
 Publishing **validates**: a record without a registered schema tag, or with
 a kind outside its schema's kind set, is rejected with

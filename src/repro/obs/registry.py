@@ -2,8 +2,8 @@
 
 Before this module existed, each observability plane carried its own
 ``*_SCHEMA`` constant and its own kind set — ``repro.telemetry/1`` in
-:mod:`repro.telemetry.export`, ``repro.pop-metrics/1`` in
-:mod:`repro.telemetry.stream_export` — and two planes (health alerts,
+:mod:`repro.telemetry.export`, ``repro.pop-metrics/1`` next to the POP
+metrics reader — and two planes (health alerts,
 steering decisions) had no file schema at all.  The registry consolidates
 all four:
 

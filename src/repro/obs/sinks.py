@@ -1,4 +1,4 @@
-"""Built-in bus sinks: NDJSON files and a bounded ring.
+"""The built-in bus sink: NDJSON files.
 
 Every sink implements the bus protocol — ``emit(record) -> bool`` (False
 means the sink's own backpressure policy dropped the record), ``close()``,
@@ -10,22 +10,20 @@ the simulation it is observing.  A live consumer follows the flushed
 
 from __future__ import annotations
 
-import collections
 import json
-from typing import IO, Any, Iterator
+from typing import IO, Any
 
 from repro.errors import ConfigError
-from repro.obs.archive import match_record
 
-__all__ = ["FileSink", "RingSink"]
+__all__ = ["FileSink"]
 
 
 class FileSink:
     """Append one ``json.dumps`` line per record — the NDJSON/JSONL format.
 
-    The one record writer: the bus file sink, the POP engine's ``stream=``
-    file and the telemetry ``write_jsonl`` dump all go through it, so a
-    plane's records have the same bytes in every file.  ``flush_each=True``
+    The one record writer: the bus file sinks and the telemetry
+    ``write_jsonl`` dump both go through it, so a plane's records have the
+    same bytes in every file.  ``flush_each=True``
     (the default) flushes after every line so a reader can tail the file
     mid-run.
 
@@ -74,60 +72,3 @@ class FileSink:
             self._fh.close()
         else:
             self._fh.flush()
-
-
-class RingSink:
-    """Bounded in-memory ring of the most recent records, for live query.
-
-    Overflow policy is drop-oldest: the ring always holds the newest
-    ``capacity`` records and counts what it evicted, so a consumer can
-    tell "I saw everything" from "I saw the tail of a firehose".
-    """
-
-    def __init__(self, capacity: int = 1024):
-        if capacity < 1:
-            raise ConfigError(f"ring capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._ring: collections.deque[dict[str, Any]] = collections.deque(
-            maxlen=capacity
-        )
-        self.accepted = 0
-        self.evicted = 0
-
-    def emit(self, record: dict[str, Any]) -> bool:
-        if len(self._ring) == self.capacity:
-            self.evicted += 1
-        self._ring.append(record)
-        self.accepted += 1
-        return True
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    def records(self) -> list[dict[str, Any]]:
-        return list(self._ring)
-
-    def query(
-        self,
-        schema: str | None = None,
-        kind: str | None = None,
-        since: float | None = None,
-    ) -> Iterator[dict[str, Any]]:
-        """Filtered view over the retained records, oldest first.
-
-        The filter is :func:`~repro.obs.archive.match_record`, the same
-        predicate ``python -m repro.obs query`` applies to archives.
-        """
-        for record in self._ring:
-            if match_record(record, schema, kind, since):
-                yield record
-
-    def stats(self) -> dict[str, Any]:
-        return {
-            "capacity": self.capacity,
-            "retained": len(self._ring),
-            "evicted": self.evicted,
-        }
-
-    def close(self) -> None:  # ring stays queryable after the bus closes
-        pass

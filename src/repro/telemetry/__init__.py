@@ -59,11 +59,6 @@ from repro.telemetry.popmetrics import (
     PopMetricsEngine,
     metrics_from_sums,
 )
-from repro.telemetry.stream_export import (
-    METRICS_SCHEMA,
-    iter_metrics_stream,
-    read_metrics_stream,
-)
 from repro.telemetry.metrics import (
     NULL_COUNTER,
     NULL_GAUGE,
@@ -116,7 +111,4 @@ __all__ = [
     "PopConfig",
     "METRIC_KEYS",
     "metrics_from_sums",
-    "METRICS_SCHEMA",
-    "iter_metrics_stream",
-    "read_metrics_stream",
 ]

@@ -24,7 +24,7 @@ Accounting is *sum-based end to end*: every window stores per-rank sums of
 active/useful/MPI/instrumentation/stall seconds, phases accumulate those
 sums, and the end-of-run totals are the same sums once more — so per-phase
 metrics recombine to the end-of-run metrics exactly (the telescoping
-property the bench gate asserts to 1e-6).  A window that straddles an MPI
+property ``tests/test_pop_metrics.py`` asserts to 1e-6).  A window that straddles an MPI
 call charges the whole call to the window where it completed; boundary
 windows can therefore read slightly above 1.0 or below 0.0 — sums, not the
 per-window ratios, are the ground truth.

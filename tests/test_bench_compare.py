@@ -176,6 +176,20 @@ class TestCLI:
         assert rc == 0, out
         assert "0 differences" in out and "PASS" in out
 
+    @pytest.mark.parametrize("lane", ["chaos", "flow", "codec"])
+    def test_lane_baseline_matches_with_telemetry(self, lane, tmp_path, capsys):
+        # The lane-smoke gate in miniature, for the fast lanes: --telemetry
+        # traces the run and must leave every row at the baseline.
+        rc = bench_main([
+            lane, "--scale", "small", "--json", "--telemetry",
+            "--outdir", str(tmp_path),
+            "--baseline", f"benchmarks/baselines/BENCH_{lane}.json",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "0 differences" in out and "PASS" in out
+        assert (tmp_path / f"BENCH_{lane}.trace.json").exists()
+
     def test_baseline_with_one_changed_cell_exits_1(self, tmp_path, capsys):
         baseline = load_bench_json("benchmarks/baselines/BENCH_metrics.json")
         column = baseline["columns"].index("pe")

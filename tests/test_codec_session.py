@@ -66,6 +66,23 @@ def test_reduction_preserves_analysis_results():
     }
 
 
+def test_every_bench_chain_is_lossless_and_its_wire_bytes_telescope():
+    """What the codec bench lane's rows rely on, for each of its chains."""
+    from repro.bench.codec import CHAINS
+
+    plain, name = _session(seed=0)
+    base = plain.run()
+    assert base.analyzer_stats["packs_rejected"] == 0
+    for chain in CHAINS[1:]:
+        session, _ = _session(reduction=chain, seed=0)
+        result = session.run()
+        stats = result.analyzer_stats
+        assert stats["packs_rejected"] == 0, chain
+        assert result.app(name).events == base.app(name).events, chain
+        assert stats["bytes_wire"] == result.reduction["bytes_wire"], chain
+        assert result.reduction["ratio"] < 1.0, chain
+
+
 # -- wire-volume guarantees --------------------------------------------------------
 
 

@@ -279,6 +279,18 @@ def test_chaos_sweep_rows_match_single_plan_runs():
     assert by_plan["none"] == alone.points[0]
 
 
+@pytest.mark.chaos
+def test_chaos_rows_do_not_depend_on_telemetry():
+    # Every session runs its own monitor on its own Telemetry, so the
+    # alerts column is the same whether or not a trace is asked for.
+    from repro.bench.chaos import chaos_resilience
+
+    without = chaos_resilience(scale="small", seed=0, telemetry=None)
+    traced = chaos_resilience(scale="small", seed=0, telemetry=Telemetry())
+    assert without.table().rows == traced.table().rows
+    assert all(p.alerts > 0 for p in without.points)
+
+
 def test_chaos_plan_loader(tmp_path):
     from repro.bench.chaos import load_plan
 

@@ -83,14 +83,6 @@ class TestCLI:
 
 
 class TestHarness:
-    def test_sweep_runs_all_configs(self):
-        from repro.bench.harness import sweep
-
-        seen = []
-        out = sweep([1, 2, 3], lambda c: c * 10, progress=seen.append)
-        assert out == [10, 20, 30]
-        assert len(seen) == 3
-
     def test_overhead_point_properties(self):
         from repro.bench.harness import OverheadPoint
 

@@ -12,7 +12,6 @@ from repro.obs import (
     METRICS_SCHEMA,
     ObservabilityBus,
     REGISTRY,
-    RingSink,
     STEERING_SCHEMA,
     TELEMETRY_SCHEMA,
     default_registry,
@@ -30,6 +29,17 @@ def _window(t1=1.0, **extra):
     return make_record(METRICS_SCHEMA, "window", t0=t1 - 0.5, t1=t1, **extra)
 
 
+class ListSink:
+    """The smallest bus sink: keeps every delivered record."""
+
+    def __init__(self):
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+        return True
+
+
 # -- registry -----------------------------------------------------------------------
 
 
@@ -45,7 +55,7 @@ class TestRegistry:
 
     def test_legacy_constants_are_reexports(self):
         from repro.telemetry.export import TELEMETRY_SCHEMA as legacy_tel
-        from repro.telemetry.stream_export import METRICS_SCHEMA as legacy_metrics
+        from repro.telemetry.popmetrics import METRICS_SCHEMA as legacy_metrics
         from repro.telemetry.monitor import WINDOWED_KINDS, CLEARED_SUFFIX
 
         assert legacy_tel == TELEMETRY_SCHEMA
@@ -82,19 +92,19 @@ class TestRegistry:
 class TestBus:
     def test_publish_counts_and_fanout(self):
         bus = ObservabilityBus()
-        ring_a, ring_b = RingSink(8), RingSink(8)
-        bus.add_sink(ring_a, name="all")
-        bus.add_sink(ring_b, schemas=[HEALTH_SCHEMA], name="health-only")
+        every, health = ListSink(), ListSink()
+        bus.add_sink(every, name="all")
+        bus.add_sink(health, schemas=[HEALTH_SCHEMA], name="health-only")
         bus.publish(_window())
         bus.publish(make_record(HEALTH_SCHEMA, "stream_stall", t_detect=1.0))
         assert bus.published == 2
         assert bus.count(METRICS_SCHEMA) == 1
         assert bus.count(HEALTH_SCHEMA, "stream_stall") == 1
-        assert len(ring_a) == 2 and len(ring_b) == 1
+        assert len(every.records) == 2 and len(health.records) == 1
 
     def test_malformed_record_rejected_at_publish(self):
         bus = ObservabilityBus()
-        sink = RingSink(8)
+        sink = ListSink()
         bus.add_sink(sink)
         with pytest.raises(ConfigError):
             bus.publish({"schema": "repro.nonesuch/1", "kind": "x"})
@@ -102,7 +112,7 @@ class TestBus:
             bus.publish(make_record(METRICS_SCHEMA, "not_a_kind"))
         assert bus.rejected == 2
         assert bus.published == 0
-        assert len(sink) == 0  # nothing malformed reached any sink
+        assert sink.records == []  # nothing malformed reached any sink
 
     def test_sink_exception_counted_not_raised(self):
         class Exploding:
@@ -118,7 +128,7 @@ class TestBus:
     def test_subscribing_unknown_schema_fails(self):
         bus = ObservabilityBus()
         with pytest.raises(ConfigError):
-            bus.add_sink(RingSink(8), schemas=["repro.nonesuch/1"])
+            bus.add_sink(ListSink(), schemas=["repro.nonesuch/1"])
 
     def test_close_idempotent(self, tmp_path):
         bus = ObservabilityBus()
@@ -131,80 +141,11 @@ class TestBus:
 
 
 class TestFileSink:
-    def test_bytes_identical_to_legacy_writer(self, tmp_path):
-        """The engine's ``stream=`` file and a bus file sink fed by the
-        same engine hold the same pop-metrics bytes."""
-        from repro.simt import Kernel
-        from repro.telemetry import Telemetry
-        from repro.telemetry.popmetrics import PopConfig, PopMetricsEngine
-
-        stream_path = tmp_path / "stream.ndjson"
-        bus_path = tmp_path / "bus.ndjson"
-        tel = Telemetry()
-        kernel = Kernel(telemetry=tel)
-        engine = PopMetricsEngine(tel, PopConfig(window=0.01))
-        stream = FileSink(str(stream_path))
-        engine.add_sink(stream.emit)
-        bus = ObservabilityBus()
-        bus.add_sink(FileSink(str(bus_path)))
-        # A line of another schema, which the comparison must filter out.
-        bus.publish(make_record(HEALTH_SCHEMA, "stream_stall", t_detect=0.0))
-        engine.add_sink(bus.publish)
-        engine.attach(kernel)
-        kernel.timeout(0.035)
-        kernel.run()
-        engine.finalize(kernel.now)
-        stream.close()
-        bus.close()
-        bus_metric_lines = b"".join(
-            line
-            for line in bus_path.read_bytes().splitlines(keepends=True)
-            if json.loads(line)["schema"] == METRICS_SCHEMA
-        )
-        assert stream_path.read_bytes().count(b"\n") == 6  # 4 windows, phase, summary
-        assert bus_metric_lines == stream_path.read_bytes()
-
     def test_emit_after_close_raises(self, tmp_path):
         sink = FileSink(str(tmp_path / "out.ndjson"))
         sink.close()
         with pytest.raises(ConfigError):
             sink.emit(_window())
-
-
-# -- ring sink ----------------------------------------------------------------------
-
-
-class TestRingSink:
-    def test_overflow_drop_oldest_accounting(self):
-        ring = RingSink(capacity=3)
-        for i in range(5):
-            assert ring.emit(_window(t1=float(i), seq=i))
-        assert len(ring) == 3
-        assert ring.accepted == 5
-        assert ring.evicted == 2
-        assert [r["seq"] for r in ring.records()] == [2, 3, 4]
-        assert ring.stats() == {"capacity": 3, "retained": 3, "evicted": 2}
-
-    def test_query_filters(self):
-        ring = RingSink(capacity=8)
-        ring.emit(_window(t1=1.0))
-        ring.emit(make_record(HEALTH_SCHEMA, "stream_stall", t_detect=2.0))
-        ring.emit(make_record(STEERING_SCHEMA, "decision", t=3.0))
-        assert len(list(ring.query(schema=HEALTH_SCHEMA))) == 1
-        assert len(list(ring.query(kind="window"))) == 1
-        # --since is inclusive and excludes time-less records
-        assert [r["schema"] for r in ring.query(since=2.0)] == [
-            HEALTH_SCHEMA,
-            STEERING_SCHEMA,
-        ]
-        ring.emit(make_record(TELEMETRY_SCHEMA, "counter", name="n", value=1))
-        assert all(
-            r["kind"] != "counter" for r in ring.query(since=0.0)
-        ), "time-less record must not pass a since filter"
-
-    def test_capacity_validated(self):
-        with pytest.raises(ConfigError):
-            RingSink(capacity=0)
 
 
 # -- torn-tail NDJSON reading -------------------------------------------------------
@@ -255,52 +196,48 @@ class TestIterNdjson:
 
 
 class TestMetricsStreamTail:
-    """The satellite fix: iter_metrics_stream grows a resumable tail mode."""
+    """A frontend tails the POP stream with ``iter_ndjson`` and checks each
+    record with ``REGISTRY.validate`` against ``repro.pop-metrics/1``."""
 
-    def _write(self, path, records):
-        path.write_text(
-            "".join(json.dumps(r) + "\n" for r in records)
-        )
+    @staticmethod
+    def _metrics(pairs):
+        for offset, record in pairs:
+            if REGISTRY.validate(record).name != METRICS_SCHEMA:
+                raise ConfigError(f"+{offset}: not a POP record: {record!r}")
+            yield offset, record
 
     def test_default_mode_unchanged(self, tmp_path):
-        from repro.telemetry.stream_export import (
-            iter_metrics_stream,
-            read_metrics_stream,
-        )
-
         path = tmp_path / "s.ndjson"
         records = [_window(t1=1.0), _window(t1=2.0)]
-        self._write(path, records)
-        assert list(iter_metrics_stream(str(path))) == records
-        assert read_metrics_stream(str(path)) == records
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert [r for _o, r in self._metrics(iter_ndjson(path))] == records
 
     def test_tail_mode_resumes_across_partial(self, tmp_path):
-        from repro.telemetry.stream_export import iter_metrics_stream
-
         path = tmp_path / "s.ndjson"
         first = json.dumps(_window(t1=1.0)) + "\n"
         path.write_text(first + json.dumps(_window(t1=2.0))[:10])
-        pairs = list(iter_metrics_stream(str(path), tail=True))
+        pairs = list(self._metrics(iter_ndjson(path, tail=True)))
         assert len(pairs) == 1 and pairs[0][1]["t1"] == 1.0
         path.write_text(first + json.dumps(_window(t1=2.0)) + "\n")
-        resumed = list(iter_metrics_stream(str(path), tail=True, start=pairs[0][0]))
+        resumed = list(self._metrics(iter_ndjson(path, tail=True, start=pairs[0][0])))
         assert [r["t1"] for _o, r in resumed] == [2.0]
 
     def test_tail_mode_still_validates_schema(self, tmp_path):
-        from repro.telemetry.stream_export import iter_metrics_stream
-
         path = tmp_path / "s.ndjson"
-        path.write_text(json.dumps({"schema": "other/1", "kind": "window"}) + "\n")
-        with pytest.raises(ConfigError):
-            list(iter_metrics_stream(str(path), tail=True))
+        for line, match in (
+            ({"schema": "other/1", "kind": "window"}, "other/1"),
+            ({"schema": METRICS_SCHEMA, "kind": "mystery"}, "mystery"),
+            (make_record(HEALTH_SCHEMA, "stream_stall", t_detect=0.0), "not a POP"),
+        ):
+            path.write_text(json.dumps(line) + "\n")
+            with pytest.raises(ConfigError, match=match):
+                list(self._metrics(iter_ndjson(path, tail=True)))
 
     def test_mid_file_corruption_still_loud(self, tmp_path):
-        from repro.telemetry.stream_export import iter_metrics_stream
-
         path = tmp_path / "s.ndjson"
         path.write_text("not json\n" + json.dumps(_window()) + "\n")
         with pytest.raises(ConfigError):
-            list(iter_metrics_stream(str(path), tail=True))
+            list(self._metrics(iter_ndjson(path, tail=True)))
 
 
 # -- archive query + CLI ------------------------------------------------------------
@@ -448,20 +385,10 @@ class TestSessionWiring:
         session.add_application(SP(16, "C", iterations=2), name="sp")
         session.set_analyzer(ratio=4.0)
         session.enable_monitor()
-        session.enable_pop_metrics(PopConfig(window=0.5), stream=str(tmp / "pop.ndjson"))
+        session.enable_pop_metrics(PopConfig(window=0.5))
         session.enable_steering()
         session.enable_observability(str(tmp / "unified.ndjson"))
         return tmp, session, session.run()
-
-    def test_pop_stream_byte_identical_through_bus(self, observed):
-        tmp, _on, _r_on = observed
-        legacy = (tmp / "pop.ndjson").read_bytes()
-        bus_lines = b"".join(
-            line
-            for line in (tmp / "unified.ndjson").read_bytes().splitlines(keepends=True)
-            if json.loads(line).get("schema") == METRICS_SCHEMA
-        )
-        assert bus_lines == legacy
 
     def test_result_and_report_carry_summary(self, observed):
         _tmp, _on, r_on = observed
@@ -469,13 +396,11 @@ class TestSessionWiring:
         assert r_on.obs["published"] > 0 and r_on.obs["rejected"] == 0
         assert "## Observability" in r_on.report.render()
 
-    def test_ring_queryable_after_run(self, observed):
-        _tmp, on, r_on = observed
-        ring = on.obs_ring
-        assert ring is not None and len(ring) > 0
-        assert len(list(ring.query(schema=TELEMETRY_SCHEMA))) == sum(
-            r_on.obs["schemas"][TELEMETRY_SCHEMA].values()
-        )
+    def test_unified_file_queryable_after_run(self, observed):
+        tmp, _on, r_on = observed
+        for schema, counts in r_on.obs["schemas"].items():
+            got = list(iter_archive([tmp], schema=schema))
+            assert len(got) == sum(counts.values()), schema
 
     def test_double_enable_rejected(self, observed):
         _tmp, on, _r_on = observed

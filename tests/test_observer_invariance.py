@@ -1,7 +1,7 @@
 """One gate for the observer bar: watching a run must not change it.
 
 Eight observation factors — telemetry, the health monitor, POP metrics
-(with a ``stream=`` file), provenance, the observability bus (file sink),
+(every record the engine emits, captured by a sink), provenance, the observability bus (file sink),
 an empty fault plan, the identity reduction chain and steering (off, the
 static policy, or the bench policy left idle) — are switched on in the rows
 of a literal table that covers every feasible pair of factor levels.  Each
@@ -93,7 +93,7 @@ class Observed:
     on: dict
     result: object
     session: CouplingSession
-    pop_bytes: bytes | None
+    pop_records: list | None
     flows: list | None
 
 
@@ -113,9 +113,10 @@ def _observe(row: tuple, workdir) -> Observed:
     session.set_analyzer(nprocs=4)
     if on["monitor"]:
         session.enable_monitor()
-    pop_path = workdir / f"pop_{tag}.ndjson"
+    pop_records = [] if on["pop"] else None
     if on["pop"]:
-        session.enable_pop_metrics(PopConfig(window=0.004), stream=str(pop_path))
+        session.enable_pop_metrics(PopConfig(window=0.004)).add_sink(
+            pop_records.append)
     if on["steering"] != "off":
         session.enable_steering(
             static_policy() if on["steering"] == "static" else bench_policy())
@@ -131,7 +132,7 @@ def _observe(row: tuple, workdir) -> Observed:
         on=on,
         result=result,
         session=session,
-        pop_bytes=pop_path.read_bytes() if on["pop"] else None,
+        pop_records=pop_records,
         flows=(
             sorted((r.as_dict() for r in flows.records()),
                    key=lambda d: d["flow_id"])
@@ -198,7 +199,7 @@ def test_every_enabled_plane_ran(runs, index):
     if on["monitor"]:
         assert result.health["ticks"] > 0
     if on["pop"]:
-        assert result.efficiency["windows"] > 0 and observed.pop_bytes
+        assert result.efficiency["windows"] > 0 and observed.pop_records
     if on["provenance"]:
         assert observed.flows
     if on["bus"]:
@@ -215,7 +216,7 @@ def test_every_enabled_plane_ran(runs, index):
 def test_each_plane_output_is_the_same_on_every_row(runs, plane):
     def output(observed):
         if plane == "pop":
-            return observed.pop_bytes
+            return observed.pop_records
         if plane == "monitor":
             return observed.session.monitor.alerts
         return observed.flows

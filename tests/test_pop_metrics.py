@@ -12,7 +12,7 @@ from repro.apps.base import AppKernel
 from repro.apps.nas import SP
 from repro.core.session import CouplingSession
 from repro.errors import ConfigError, SimulationError
-from repro.obs import FileSink
+from repro.obs import METRICS_SCHEMA, REGISTRY, FileSink, iter_ndjson
 from repro.simt.kernel import Kernel
 from repro.telemetry import Telemetry
 from repro.telemetry.popmetrics import (
@@ -22,13 +22,17 @@ from repro.telemetry.popmetrics import (
     PopMetricsEngine,
     metrics_from_sums,
 )
-from repro.telemetry.stream_export import (
-    METRICS_SCHEMA,
-    iter_metrics_stream,
-    read_metrics_stream,
-)
 
 pytestmark = pytest.mark.metrics
+
+
+def _read_metrics(path):
+    """A finished POP stream: every line a valid ``repro.pop-metrics/1`` record."""
+    records = [record for _offset, record in iter_ndjson(path)]
+    for record in records:
+        if REGISTRY.validate(record).name != METRICS_SCHEMA:
+            raise ConfigError(f"{path}: foreign schema {record['schema']!r}")
+    return records
 
 
 def _session(telemetry=None, seed=7, iterations=3):
@@ -339,7 +343,7 @@ def test_ndjson_streams_incrementally(tmp_path):
     assert rec["kind"] == "window"
     engine.finalize(kernel.now)
     sink.close()
-    records = read_metrics_stream(str(path))
+    records = _read_metrics(path)
     assert [r["kind"] for r in records] == [
         "window", "window", "phase", "run_summary",
     ]
@@ -349,23 +353,29 @@ def test_ndjson_rejects_foreign_schema(tmp_path):
     path = tmp_path / "bad.ndjson"
     path.write_text('{"schema": "someone-else/9", "kind": "window"}\n')
     with pytest.raises(ConfigError):
-        read_metrics_stream(str(path))
+        _read_metrics(path)
     path.write_text('{"schema": "%s", "kind": "mystery"}\n' % METRICS_SCHEMA)
     with pytest.raises(ConfigError):
-        read_metrics_stream(str(path))
+        _read_metrics(path)
+    path.write_text('{"schema": "repro.health/1", "kind": "stream_stall"}\n')
+    with pytest.raises(ConfigError):
+        _read_metrics(path)
     path.write_text("not json\n")
     with pytest.raises(ConfigError):
-        read_metrics_stream(str(path))
+        _read_metrics(path)
     path.write_text("\n\n")  # blank lines alone are fine
-    assert read_metrics_stream(str(path)) == []
+    assert _read_metrics(path) == []
 
 
 def test_session_stream_round_trip(tmp_path):
     path = tmp_path / "session.ndjson"
     session, _ = _session(telemetry=Telemetry(), iterations=2)
-    session.enable_pop_metrics(PopConfig(window=0.01), stream=str(path))
+    session.enable_pop_metrics(PopConfig(window=0.01))
+    session.enable_observability().add_sink(
+        FileSink(str(path)), schemas=[METRICS_SCHEMA]
+    )
     run = session.run()
-    records = read_metrics_stream(str(path))
+    records = _read_metrics(path)
     kinds = [r["kind"] for r in records]
     assert kinds.count("window") == run.efficiency["windows"]
     assert kinds.count("phase") == len(run.efficiency["phases"])
@@ -374,8 +384,6 @@ def test_session_stream_round_trip(tmp_path):
     tail = records[-1]
     assert tail["windows"] == run.efficiency["windows"]
     assert tail["end_of_run"] == run.efficiency["end_of_run"]
-    # Iterator and list loaders agree.
-    assert list(iter_metrics_stream(str(path))) == records
 
 
 # -- Chrome-trace counters ---------------------------------------------------------
