@@ -20,11 +20,13 @@ Usage::
 
 Every experiment runs through one path: its function is called with
 ``scale``, ``seed`` and ``telemetry`` plus the sub-command's own flags,
-its table is printed, and its artefacts are written.  The common flags
-(``--scale/--seed/--csv/--json/--telemetry/--profile/--outdir/
---baseline``) are defined once on a shared argparse parent;
-experiment-specific flags (``chaos --chaos PLAN``) live on their own
-sub-command and reach the function as keywords.
+and returns a result whose ``table()`` is printed and whose
+``side_files`` are written; the extension lanes all return one
+:class:`~repro.bench.harness.LaneResult`.  The common flags
+(``--scale/--seed/--csv/--json/--telemetry/--outdir/--baseline``) are
+defined once on a shared argparse parent; experiment-specific flags
+(``chaos --chaos PLAN``) live on their own sub-command and reach the
+function as keywords.
 
 With ``--json`` each experiment additionally writes ``BENCH_<name>.json``
 (table rows + metadata + a host-environment header) and the result's side
@@ -33,9 +35,9 @@ files (``BENCH_metrics.ndjson``, the POP window/phase records;
 the adaptive run's decision log); adding ``--telemetry`` runs the
 measurement pipeline itself instrumented, embeds the self-telemetry
 summary in the JSON, and dumps ``BENCH_<name>.trace.json`` — a Chrome
-trace-event file loadable in Perfetto or ``chrome://tracing``.
-``--profile`` wraps the driver in ``cProfile``, prints a top-N hotspot
-table and dumps ``BENCH_<name>.pstats`` for ``snakeviz``/``pstats``.
+trace-event file loadable in Perfetto or ``chrome://tracing``.  For a
+host profile of the harness itself, run it under the standard profiler:
+``python -m cProfile -o BENCH_fig14.pstats -m repro.bench fig14``.
 
 ``--baseline BENCH_ref.json`` is the regression gate: after the run, the
 fresh rows must equal the committed artefact's cell for cell (see
@@ -46,10 +48,7 @@ command exits 1.
 from __future__ import annotations
 
 import argparse
-import cProfile
-import io
 import json
-import pstats
 import sys
 from pathlib import Path
 
@@ -106,9 +105,6 @@ _LANE_FLAGS = {
     ],
 }
 
-#: functions shown in the --profile hotspot table
-PROFILE_TOP_N = 15
-
 
 def _common_parser() -> argparse.ArgumentParser:
     """The shared flag set every experiment sub-command inherits."""
@@ -133,12 +129,6 @@ def _common_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="instrument the measurement pipeline itself; dumps a Chrome "
         "trace next to the JSON (implies --json)",
-    )
-    common.add_argument(
-        "--profile",
-        action="store_true",
-        help="run the experiment under cProfile: print a top-N hotspot "
-        "table and dump BENCH_<name>.pstats into --outdir",
     )
     common.add_argument(
         "--outdir",
@@ -184,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--baseline gates a single experiment, not 'all'")
 
     outdir = Path(args.outdir)
-    if args.json or args.profile:
+    if args.json:
         outdir.mkdir(parents=True, exist_ok=True)
 
     kwargs = {
@@ -195,24 +185,12 @@ def main(argv: list[str] | None = None) -> int:
         driver = _DRIVERS[name]
         telemetry = Telemetry() if args.telemetry else None
         stem = name.replace("-", "_")
-        profiler = cProfile.Profile() if args.profile else None
         t0 = host_now()
-        if profiler is not None:
-            profiler.enable()
-        try:
-            result = driver(
-                scale=args.scale, seed=args.seed, telemetry=telemetry, **kwargs
-            )
-        finally:
-            if profiler is not None:
-                profiler.disable()
+        result = driver(scale=args.scale, seed=args.seed, telemetry=telemetry, **kwargs)
         elapsed = host_now() - t0
         table = result.table()
         print(table.to_csv() if args.csv else table.render())
         print(f"[{name}: regenerated in {elapsed:.1f}s at scale={args.scale}]")
-        hotspots = None
-        if profiler is not None:
-            hotspots = _report_profile(profiler, name, outdir)
         payload = {
             "experiment": name,
             "scale": args.scale,
@@ -232,8 +210,6 @@ def main(argv: list[str] | None = None) -> int:
                 side_path = outdir / filename
                 side_path.write_text(text)
                 print(f"[{name}: {filename} -> {side_path}]")
-            if hotspots is not None:
-                payload["profile"] = hotspots
             json_path = outdir / f"BENCH_{stem}.json"
             json_path.write_text(json.dumps(payload, indent=2, default=str))
             print(f"[{name}: JSON -> {json_path}]")
@@ -248,34 +224,6 @@ def main(argv: list[str] | None = None) -> int:
                 return 1
         print()
     return 0
-
-
-def _report_profile(profiler: cProfile.Profile, name: str, outdir: Path) -> list[dict]:
-    """Dump pstats, print the hotspot table, return top rows for the JSON."""
-    stem = name.replace("-", "_")
-    pstats_path = outdir / f"BENCH_{stem}.pstats"
-    profiler.dump_stats(pstats_path)
-    stats = pstats.Stats(profiler, stream=io.StringIO())
-    stats.sort_stats("cumulative")
-    buf = io.StringIO()
-    stats.stream = buf
-    stats.print_stats(PROFILE_TOP_N)
-    print(buf.getvalue().rstrip())
-    print(f"[{name}: pstats -> {pstats_path}]")
-    hotspots = []
-    for func, (cc, nc, tt, ct, _callers) in sorted(
-        stats.stats.items(), key=lambda kv: kv[1][3], reverse=True
-    )[:PROFILE_TOP_N]:
-        filename, lineno, funcname = func
-        hotspots.append(
-            {
-                "function": f"{filename}:{lineno}({funcname})",
-                "ncalls": nc,
-                "tottime_s": tt,
-                "cumtime_s": ct,
-            }
-        )
-    return hotspots
 
 
 if __name__ == "__main__":

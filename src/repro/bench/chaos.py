@@ -12,68 +12,26 @@ the middle of the streaming phase, not during startup or teardown).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.apps.nas import SP
+from repro.bench.harness import SMALL_PACKS, LaneResult, by_scale
 from repro.core.session import CouplingSession
 from repro.errors import ConfigError
 from repro.faults import CANNED_PLANS, FaultPlan, make_plan
-from repro.instrument.overhead import InstrumentationCost
 from repro.network.machine import TERA100
 from repro.telemetry import Telemetry
-from repro.util.tables import Table
 
 #: where in the healthy run's app wall-time the canned plans anchor
 _ANCHOR_FRACTION = 0.35
 
-
-@dataclass
-class ChaosPoint:
-    """One fault-plan run of the reference coupled workload."""
-
-    plan: str
-    writers: int
-    readers: int
-    completed: bool
-    degraded: bool
-    faults_injected: int
-    dead_ranks: int
-    packs_dropped: int
-    packs_rejected: int
-    data_loss_fraction: float
-    app_walltime: float
-    alerts: int
-
-
-@dataclass
-class ChaosResult:
-    """Fault-plan sweep over the reference coupled workload."""
-
-    machine: str
-    scale: str
-    seed: int
-    points: list[ChaosPoint] = field(default_factory=list)
-
-    def table(self) -> Table:
-        t = Table(
-            [
-                "plan", "writers", "readers", "completed", "degraded",
-                "faults_injected", "dead_ranks", "packs_dropped",
-                "packs_rejected", "data_loss_pct", "app_walltime_s", "alerts",
-            ],
-            title=f"Chaos resilience ({self.machine}, scale={self.scale})",
-        )
-        for p in self.points:
-            t.add_row(
-                p.plan, p.writers, p.readers,
-                "yes" if p.completed else "no",
-                "yes" if p.degraded else "no",
-                p.faults_injected, p.dead_ranks, p.packs_dropped,
-                p.packs_rejected, f"{p.data_loss_fraction * 100:.2f}",
-                f"{p.app_walltime:.4f}", p.alerts,
-            )
-        return t
+#: table column -> cell format
+COLUMNS = {
+    "plan": "", "writers": "", "readers": "", "completed": "",
+    "degraded": "", "faults_injected": "", "dead_ranks": "",
+    "packs_dropped": "", "packs_rejected": "", "data_loss_pct": ".2f",
+    "app_walltime_s": ".4f", "alerts": "",
+}
 
 
 def load_plan(spec: str, *, at: float, seed: int = 0) -> FaultPlan:
@@ -97,21 +55,9 @@ def load_plan(spec: str, *, at: float, seed: int = 0) -> FaultPlan:
     )
 
 
-def _workload(scale: str):
-    """(kernel, analyzer ranks): a crash needs >= 2 readers to survive."""
-    if scale == "paper":
-        return SP(256, "C", iterations=3), 16
-    if scale == "small":
-        return SP(16, "C", iterations=3), 4
-    raise ConfigError(f"unknown scale {scale!r}")
-
-
 def _session(kernel, readers, seed, telemetry):
-    # Small packs so every writer flushes a stream of them: the tamper
-    # faults ("every Nth pack") and the loss accounting need traffic.
-    cost = InstrumentationCost(block_size=4096, na_buffers=2)
     session = CouplingSession(
-        machine=TERA100, seed=seed, instrumentation=cost, telemetry=telemetry
+        machine=TERA100, seed=seed, instrumentation=SMALL_PACKS, telemetry=telemetry
     )
     name = session.add_application(kernel)
     session.set_analyzer(nprocs=readers)
@@ -119,12 +65,12 @@ def _session(kernel, readers, seed, telemetry):
     return session, name
 
 
-def _point(result, name: str, plan_label: str, readers: int) -> ChaosPoint:
+def _add_row(lane: LaneResult, result, name: str, plan_label: str, readers: int) -> None:
     run = result.app(name)
     faults = result.faults or {}
     health = result.health or {}
     stats = result.analyzer_stats or {}
-    return ChaosPoint(
+    lane.add(
         plan=plan_label,
         writers=run.nprocs,
         readers=readers,
@@ -134,8 +80,8 @@ def _point(result, name: str, plan_label: str, readers: int) -> ChaosPoint:
         dead_ranks=len(faults.get("dead_ranks", ())),
         packs_dropped=run.packs_dropped,
         packs_rejected=stats.get("packs_rejected", 0),
-        data_loss_fraction=result.data_loss_fraction,
-        app_walltime=run.walltime,
+        data_loss_pct=result.data_loss_fraction * 100,
+        app_walltime_s=run.walltime,
         alerts=len(health.get("alerts", ())),
     )
 
@@ -145,7 +91,7 @@ def chaos_resilience(
     seed: int = 0,
     telemetry: Telemetry | None = None,
     plan: str | FaultPlan | None = None,
-) -> ChaosResult:
+) -> LaneResult:
     """Run the coupled workload healthy, then under fault plans.
 
     ``plan`` narrows the sweep to one plan (a canned name, a JSON plan
@@ -158,8 +104,13 @@ def chaos_resilience(
     (``none``) session only, so its trace shows the plan-free run and the
     rows are the same with or without it.
     """
-    kernel, readers = _workload(scale)
-    result = ChaosResult(machine=TERA100.name, scale=scale, seed=seed)
+    # (kernel, analyzer ranks): a crash needs >= 2 readers to survive.
+    kernel, readers = by_scale(
+        scale,
+        small=(SP(16, "C", iterations=3), 4),
+        paper=(SP(256, "C", iterations=3), 16),
+    )
+    lane = LaneResult(f"Chaos resilience ({TERA100.name}, scale={scale})", COLUMNS)
 
     # Healthy baseline: supplies the row of reference numbers and the
     # wall-time that anchors the canned plans mid-streaming-phase.
@@ -167,7 +118,7 @@ def chaos_resilience(
         kernel, readers, seed, telemetry if telemetry is not None else Telemetry()
     )
     healthy = session.run()
-    result.points.append(_point(healthy, name, "none", readers))
+    _add_row(lane, healthy, name, "none", readers)
     anchor = healthy.app(name).walltime * _ANCHOR_FRACTION
 
     if plan is None:
@@ -181,6 +132,5 @@ def chaos_resilience(
     for label, fault_plan in plans:
         session, name = _session(kernel, readers, seed, Telemetry())
         session.inject_faults(fault_plan)
-        chaotic = session.run()
-        result.points.append(_point(chaotic, name, label, readers))
-    return result
+        _add_row(lane, session.run(), name, label, readers)
+    return lane

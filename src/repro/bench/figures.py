@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -11,7 +10,7 @@ from repro.analysis.report import ProfileReport
 from repro.apps.eulermhd import EulerMHD
 from repro.apps.nas import BT, CG, LU, SP, nas_kernel
 from repro.apps.synthetic import stream_reader_program, stream_writer_program
-from repro.bench.harness import OverheadPoint, measure_overhead, readers_for
+from repro.bench.harness import OverheadPoint, by_scale, measure_overhead, readers_for
 from repro.core.comparison import ToolRunResult, compare_tools
 from repro.core.session import CouplingSession
 from repro.network.machine import CURIE, MachineSpec, TERA100
@@ -111,16 +110,11 @@ def fig14_stream_throughput(
     Paper peak: 98.5 GB/s at 2560 writers + 2560 readers; competitive with
     the scaled file system until a ratio of ~1/25.
     """
-    if scale == "paper":
-        writer_counts = [64, 96, 160, 320, 960, 1600, 2560]
-        ratios = [1, 2, 4, 8, 16, 32, 64]
-        bytes_per_writer = 1 * GIB
-    elif scale == "small":
-        writer_counts = [64, 160, 320]
-        ratios = [1, 4, 16, 32]
-        bytes_per_writer = 32 * MIB
-    else:
-        raise ConfigError(f"unknown scale {scale!r}")
+    writer_counts, ratios, bytes_per_writer = by_scale(
+        scale,
+        small=([64, 160, 320], [1, 4, 16, 32], 32 * MIB),
+        paper=([64, 96, 160, 320, 960, 1600, 2560], [1, 2, 4, 8, 16, 32, 64], 1 * GIB),
+    )
     result = Fig14Result(machine=machine.name)
     for writers in writer_counts:
         for ratio in ratios:
@@ -166,29 +160,30 @@ class Fig15Result:
         return t
 
 
+def _fig15_paper_workloads() -> list[Any]:
+    workloads = []
+    for n in (256, 484, 900, 1156):  # square counts for BT/SP
+        workloads += [
+            BT(n, "C", iterations=3),
+            BT(n, "D", iterations=3),
+            SP(n, "C", iterations=3),
+            SP(n, "D", iterations=3),
+        ]
+    for n in (128, 256, 512, 1024):
+        workloads += [
+            CG(n, "C", iterations=6),
+            nas_kernel("FT", n, "C", iterations=4),
+            LU(n, "C", iterations=2),
+            LU(n, "D", iterations=2),
+            EulerMHD(n, iterations=6),
+        ]
+    return workloads
+
+
 def _fig15_workloads(scale: str) -> list[Any]:
-    if scale == "paper":
-        square = [256, 484, 900, 1156]
-        pow2 = [128, 256, 512, 1024]
-        workloads = []
-        for n in square:
-            workloads += [
-                BT(n, "C", iterations=3),
-                BT(n, "D", iterations=3),
-                SP(n, "C", iterations=3),
-                SP(n, "D", iterations=3),
-            ]
-        for n in pow2:
-            workloads += [
-                CG(n, "C", iterations=6),
-                nas_kernel("FT", n, "C", iterations=4),
-                LU(n, "C", iterations=2),
-                LU(n, "D", iterations=2),
-                EulerMHD(n, iterations=6),
-            ]
-        return workloads
-    if scale == "small":
-        return [
+    return by_scale(
+        scale,
+        small=[
             BT(64, "C", iterations=3),
             BT(64, "D", iterations=3),
             SP(64, "C", iterations=3),
@@ -200,8 +195,9 @@ def _fig15_workloads(scale: str) -> list[Any]:
             LU(256, "C", iterations=2),
             LU(256, "D", iterations=2),
             EulerMHD(256, iterations=6),
-        ]
-    raise ConfigError(f"unknown scale {scale!r}")
+        ],
+        paper=_fig15_paper_workloads(),
+    )
 
 
 def fig15_overhead(
@@ -273,18 +269,11 @@ def fig16_tool_comparison(
 ) -> Fig16Result:
     """SP.D under each tool model (paper: online cheaper than file-based
     traces at scale despite moving ~2.9x the data)."""
-    if scale == "paper":
-        counts = [256, 1024, 2025, 4096]
-        iterations = 3
-    elif scale == "small":
-        counts = [64, 256]
-        iterations = 3
-    else:
-        raise ConfigError(f"unknown scale {scale!r}")
+    counts = by_scale(scale, small=[64, 256], paper=[256, 1024, 2025, 4096])
     result = Fig16Result(machine=machine.name)
     for nprocs in counts:
         runs = compare_tools(
-            lambda n=nprocs: SP(n, "D", iterations=iterations),
+            lambda n=nprocs: SP(n, "D", iterations=3),
             tools=tools,
             machine=machine,
             seed=seed,
@@ -349,22 +338,21 @@ def fig17_topology(
     telemetry: Telemetry | None = None,
 ) -> Fig17Result:
     """Communication matrices/graphs: CG.D, EulerMHD, SP, LU (paper 17a-e)."""
-    if scale == "paper":
-        workloads = [
-            ("CG.D", CG(128, "D", iterations=6)),
-            ("EulerMHD", EulerMHD(2048, iterations=4)),
-            ("SP.C", SP(2025, "C", iterations=2)),
-            ("LU.D", LU(1024, "D", iterations=2)),
-        ]
-    elif scale == "small":
-        workloads = [
+    workloads = by_scale(
+        scale,
+        small=[
             ("CG.D", CG(128, "D", iterations=6)),
             ("EulerMHD", EulerMHD(256, iterations=4)),
             ("SP.C", SP(225, "C", iterations=2)),
             ("LU.D", LU(256, "D", iterations=2)),
-        ]
-    else:
-        raise ConfigError(f"unknown scale {scale!r}")
+        ],
+        paper=[
+            ("CG.D", CG(128, "D", iterations=6)),
+            ("EulerMHD", EulerMHD(2048, iterations=4)),
+            ("SP.C", SP(2025, "C", iterations=2)),
+            ("LU.D", LU(1024, "D", iterations=2)),
+        ],
+    )
     result = Fig17Result()
     for name, kernel in workloads:
         result.reports[name] = _profile_app(
@@ -419,18 +407,17 @@ def fig18_density(
     """Density maps for LU.D and BT.D (paper 18a-e: Send-hit correlation
     with mesh neighbourhood, p2p size imbalance, collective/wait symmetry).
     """
-    if scale == "paper":
-        workloads = [
-            ("LU.D", LU(1024, "D", iterations=2)),
-            ("BT.D", BT(8281, "D", iterations=2)),
-        ]
-    elif scale == "small":
-        workloads = [
+    workloads = by_scale(
+        scale,
+        small=[
             ("LU.D", LU(256, "D", iterations=2)),
             ("BT.D", BT(1024, "D", iterations=2)),
-        ]
-    else:
-        raise ConfigError(f"unknown scale {scale!r}")
+        ],
+        paper=[
+            ("LU.D", LU(1024, "D", iterations=2)),
+            ("BT.D", BT(8281, "D", iterations=2)),
+        ],
+    )
     result = Fig18Result()
     for name, kernel in workloads:
         result.reports[name] = _profile_app(

@@ -20,17 +20,14 @@ and the observer bar (the engine leaves the run bit-identical) is
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
 
 from repro.apps.nas import SP
+from repro.bench.harness import SMALL_PACKS, LaneResult, by_scale
 from repro.core.session import CouplingSession
-from repro.errors import ConfigError
-from repro.instrument.overhead import InstrumentationCost
 from repro.network.machine import TERA100
 from repro.obs import METRICS_SCHEMA, FileSink
 from repro.telemetry import Telemetry
 from repro.telemetry.popmetrics import PopConfig
-from repro.util.tables import Table
 
 #: writer/reader ratios swept (paper Figure 14's axis)
 RATIOS = (4.0, 2.0, 1.0)
@@ -41,77 +38,29 @@ WINDOW_S = 0.01
 #: the first configuration's POP records, as a side file under ``--json``
 ARTIFACT_NAME = "BENCH_metrics.ndjson"
 
-
-@dataclass
-class MetricsPoint:
-    """One analyzer ratio on the coupled workload."""
-
-    ratio: float
-    readers: int
-    windows: int
-    phases: int
-    pe: float
-    load_balance: float
-    comm_eff: float
-    ser_eff: float
-    instr_share: float
-    walltime_s: float
-
-
-@dataclass
-class MetricsResult:
-    """POP-efficiency sweep over analyzer sizing."""
-
-    machine: str
-    scale: str
-    seed: int
-    points: list[MetricsPoint] = field(default_factory=list)
-    #: side file name -> text, written next to the JSON by ``--json``
-    side_files: dict[str, str] = field(default_factory=dict, repr=False)
-
-    def table(self) -> Table:
-        t = Table(
-            [
-                "ratio", "readers", "windows", "phases", "pe",
-                "load_balance", "comm_eff", "ser_eff", "instr_share",
-                "walltime_s",
-            ],
-            title=f"Time-resolved POP efficiency ({self.machine}, scale={self.scale})",
-        )
-        for p in self.points:
-            t.add_row(
-                f"{p.ratio:g}", p.readers, p.windows, p.phases,
-                f"{p.pe:.6f}", f"{p.load_balance:.6f}", f"{p.comm_eff:.6f}",
-                f"{p.ser_eff:.6f}", f"{p.instr_share:.6f}",
-                f"{p.walltime_s:.6f}",
-            )
-        return t
-
-
-def _workload(scale: str):
-    if scale == "paper":
-        return SP(64, "C", iterations=3)
-    if scale == "small":
-        return SP(16, "C", iterations=3)
-    raise ConfigError(f"unknown scale {scale!r}")
+#: table column -> cell format
+COLUMNS = {
+    "ratio": "g", "readers": "", "windows": "", "phases": "", "pe": ".6f",
+    "load_balance": ".6f", "comm_eff": ".6f", "ser_eff": ".6f",
+    "instr_share": ".6f", "walltime_s": ".6f",
+}
 
 
 def metrics_timeline(
     scale: str = "small",
     seed: int = 0,
     telemetry: Telemetry | None = None,
-) -> MetricsResult:
+) -> LaneResult:
     """Sweep analyzer ratios with the online POP-metrics engine attached."""
-    kernel = _workload(scale)
-    result = MetricsResult(machine=TERA100.name, scale=scale, seed=seed)
-    # Small packs so every writer streams continuously (as in the codec
-    # bench): backpressure and analyzer load must be visible per window.
-    cost = InstrumentationCost(block_size=4096, na_buffers=2)
+    kernel = SP(by_scale(scale, small=16, paper=64), "C", iterations=3)
+    lane = LaneResult(
+        f"Time-resolved POP efficiency ({TERA100.name}, scale={scale})", COLUMNS
+    )
     for index, ratio in enumerate(RATIOS):
         session = CouplingSession(
             machine=TERA100,
             seed=seed,
-            instrumentation=cost,
+            instrumentation=SMALL_PACKS,
             telemetry=telemetry if telemetry is not None else Telemetry(),
         )
         name = session.add_application(kernel)
@@ -124,22 +73,19 @@ def metrics_timeline(
             )
         run = session.run()
         if index == 0:
-            result.side_files[ARTIFACT_NAME] = ndjson.getvalue()
-        app = run.app(name)
+            lane.side_files[ARTIFACT_NAME] = ndjson.getvalue()
         summary = run.efficiency
         eor = summary["end_of_run"]
-        result.points.append(
-            MetricsPoint(
-                ratio=ratio,
-                readers=readers,
-                windows=summary["windows"],
-                phases=len(summary["phases"]),
-                pe=eor["parallel_efficiency"],
-                load_balance=eor["load_balance"],
-                comm_eff=eor["communication_efficiency"],
-                ser_eff=eor["serialization_efficiency"],
-                instr_share=eor["instrumentation_share"],
-                walltime_s=app.walltime,
-            )
+        lane.add(
+            ratio=ratio,
+            readers=readers,
+            windows=summary["windows"],
+            phases=len(summary["phases"]),
+            pe=eor["parallel_efficiency"],
+            load_balance=eor["load_balance"],
+            comm_eff=eor["communication_efficiency"],
+            ser_eff=eor["serialization_efficiency"],
+            instr_share=eor["instrumentation_share"],
+            walltime_s=run.app(name).walltime,
         )
-    return result
+    return lane

@@ -20,10 +20,11 @@ audited from with ``python -m repro.obs query``.
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.apps.base import AppKernel
 from repro.apps.nas import SP
+from repro.bench.harness import LaneResult, by_scale
 from repro.core.session import CouplingSession
 from repro.errors import ConfigError
 from repro.network.machine import TERA100
@@ -37,7 +38,6 @@ from repro.telemetry import Telemetry
 from repro.telemetry.hostprof import host_now
 from repro.telemetry.export import jsonl_records
 from repro.telemetry.popmetrics import PopConfig
-from repro.util.tables import Table
 
 #: name of the unified NDJSON side file kept under ``--json``
 ARTIFACT_NAME = "BENCH_obs.ndjson"
@@ -48,50 +48,23 @@ OVERHEAD_BUDGET = 0.05
 #: hub-off/hub-on pairs behind the overhead gate
 REPEATS = 8
 
-
-def _workload(scale: str) -> SP:
-    if scale == "paper":
-        return SP(64, "C", iterations=3)
-    if scale == "small":
-        return SP(16, "C", iterations=3)
-    raise ConfigError(f"unknown scale {scale!r}")
+#: table column -> cell format, one row per published schema
+COLUMNS = {"schema": "", "kinds": "", "bus_records": "", "plane_records": ""}
 
 
-@dataclass
-class ObsResult:
-    """Per-schema round-trip accounting of one bus run."""
-
-    machine: str
-    scale: str
-    seed: int
-    #: best pair ratio of the overhead gate
-    overhead_ratio: float | None = None
-    #: ``(schema, kinds, records, plane_records)`` per published schema
-    points: list[tuple[str, int, int, int]] = field(default_factory=list)
-    #: side file name -> text, written next to the JSON by ``--json``
-    side_files: dict[str, str] = field(default_factory=dict, repr=False)
-
-    def table(self) -> Table:
-        t = Table(
-            ["schema", "kinds", "bus_records", "plane_records"],
-            title=(
-                f"Observability bus round-trip ({self.machine}, "
-                f"scale={self.scale}, seed={self.seed})"
-            ),
-        )
-        for schema, kinds, records, plane in self.points:
-            t.add_row(schema, kinds, records, plane)
-        return t
-
-
-def _observed_session(scale: str, seed: int, unified: Path | None) -> CouplingSession:
+def _observed_session(
+    kernel: AppKernel, seed: int, unified: Path | None,
+    telemetry: Telemetry | None = None,
+) -> CouplingSession:
     """One fully observed coupled run; hub on (``unified``) or off."""
-    session = CouplingSession(machine=TERA100, seed=seed, telemetry=Telemetry())
-    session.add_application(_workload(scale))
+    session = CouplingSession(
+        machine=TERA100, seed=seed,
+        telemetry=telemetry if telemetry is not None else Telemetry(),
+    )
+    session.add_application(kernel)
     session.set_analyzer(ratio=4.0)
-    session.enable_monitor()
     session.enable_pop_metrics(PopConfig(window=0.5))
-    session.enable_steering()
+    session.enable_steering()  # creates the health monitor too
     session.enable_provenance()
     if unified is not None:
         session.enable_observability(str(unified))
@@ -108,20 +81,24 @@ def obs_roundtrip(
     scale: str = "small",
     seed: int = 0,
     telemetry: Telemetry | None = None,
-) -> ObsResult:
+) -> LaneResult:
     """Round-trip every plane through the bus; gate the bus's host cost.
 
-    ``telemetry`` (the driver's ``--telemetry`` flag) is accepted for
-    driver uniformity but unused: the lane's paired runs each need a fresh
-    per-run :class:`Telemetry` so hub-on and hub-off observe identical,
-    independent pipelines.
+    A ``telemetry`` passed in (the driver's ``--telemetry`` flag) observes
+    the first hub-on run, whose records the rows count; the paired
+    overhead runs each get a fresh :class:`Telemetry` so hub-on and
+    hub-off observe identical, independent pipelines.
     """
-    result = ObsResult(machine=TERA100.name, scale=scale, seed=seed)
+    kernel = SP(by_scale(scale, small=16, paper=64), "C", iterations=3)
+    lane = LaneResult(
+        f"Observability bus round-trip ({TERA100.name}, scale={scale}, seed={seed})",
+        COLUMNS,
+    )
     with tempfile.TemporaryDirectory(prefix="bench_obs_") as tmp:
         workdir = Path(tmp)
 
         unified = workdir / "unified.ndjson"
-        session = _observed_session(scale, seed, unified)
+        session = _observed_session(kernel, seed, unified, telemetry)
         pop_records: list[dict] = []
         session.pop_metrics.add_sink(pop_records.append)
         summary = session.run().obs
@@ -133,8 +110,13 @@ def obs_roundtrip(
         }
         for schema, plane in sorted(plane_totals.items()):
             counts = summary["schemas"].get(schema, {})
-            result.points.append((schema, len(counts), sum(counts.values()), plane))
-        result.side_files[ARTIFACT_NAME] = unified.read_text()
+            lane.add(
+                schema=schema,
+                kinds=len(counts),
+                bus_records=sum(counts.values()),
+                plane_records=plane,
+            )
+        lane.side_files[ARTIFACT_NAME] = unified.read_text()
 
         # Second-long runs swing with scheduler noise, so each hub-off run
         # is paired with an adjacent hub-on run and the gate takes the
@@ -144,16 +126,16 @@ def obs_roundtrip(
         # reliable noise floor.
         ratios = []
         for i in range(REPEATS):
-            off_s = _timed_run(_observed_session(scale, seed, None))
+            off_s = _timed_run(_observed_session(kernel, seed, None))
             on_s = _timed_run(
-                _observed_session(scale, seed, workdir / f"unified_on{i}.ndjson")
+                _observed_session(kernel, seed, workdir / f"unified_on{i}.ndjson")
             )
             ratios.append(on_s / off_s - 1.0)
-        result.overhead_ratio = min(ratios)
-        if result.overhead_ratio > OVERHEAD_BUDGET:
+        overhead = min(ratios)
+        if overhead > OVERHEAD_BUDGET:
             raise ConfigError(
-                f"observability bus overhead {result.overhead_ratio:+.2%} "
+                f"observability bus overhead {overhead:+.2%} "
                 f"exceeds the {OVERHEAD_BUDGET:.0%} budget (pair ratios: "
                 + ", ".join(f"{r:+.2%}" for r in ratios) + ")"
             )
-    return result
+    return lane

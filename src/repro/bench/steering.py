@@ -23,19 +23,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
 
 from repro.apps.nas import SP
+from repro.bench.harness import SMALL_PACKS, LaneResult, by_scale
 from repro.core.session import CouplingSession, SessionResult
-from repro.errors import ConfigError
 from repro.faults import LINK_DEGRADE, FaultPlan, FaultSpec
-from repro.instrument.overhead import InstrumentationCost
 from repro.mpi.costmodel import CostModel
 from repro.network.machine import TERA100
 from repro.steering import SteeringPolicy
 from repro.steering.policy import static_policy
 from repro.telemetry import Telemetry
-from repro.util.tables import Table
 
 #: where in the healthy run's app wall-time the congestion plan anchors
 _ANCHOR_FRACTION = 0.35
@@ -45,6 +42,14 @@ _DEGRADE_FACTOR = 2e-5
 _CORES_PER_NODE = 8
 #: rendezvous threshold: below the pack size, so stream packs never go eager
 _EAGER_THRESHOLD = 2048
+
+#: table column -> cell format
+COLUMNS = {
+    "policy": "", "plan": "", "decisions": "", "escalations": "",
+    "relaxes": "", "packs_written": "", "packs_dropped": "",
+    "packs_stranded": "", "write_timeouts": "", "events_analyzed": "",
+    "app_walltime_s": ".6f", "events_per_s": ".1f",
+}
 
 
 def bench_policy() -> SteeringPolicy:
@@ -69,64 +74,6 @@ def bench_policy() -> SteeringPolicy:
     )
 
 
-@dataclass
-class SteeringBenchPoint:
-    """One (policy, plan) run of the reference coupled workload."""
-
-    policy: str
-    plan: str
-    decisions: int
-    escalations: int
-    relaxes: int
-    packs_written: int
-    packs_dropped: int
-    packs_stranded: int
-    write_timeouts: int
-    events_analyzed: int
-    app_walltime: float
-    events_per_s: float
-
-
-@dataclass
-class SteeringBenchResult:
-    """Static-versus-adaptive sweep."""
-
-    machine: str
-    scale: str
-    seed: int
-    points: list[SteeringBenchPoint] = field(default_factory=list)
-    #: side file name -> text, written next to the JSON by ``--json``
-    side_files: dict[str, str] = field(default_factory=dict, repr=False)
-
-    def table(self) -> Table:
-        t = Table(
-            [
-                "policy", "plan", "decisions", "escalations", "relaxes",
-                "packs_written", "packs_dropped", "packs_stranded",
-                "write_timeouts", "events_analyzed", "app_walltime_s",
-                "events_per_s",
-            ],
-            title=f"Adaptive steering ({self.machine}, scale={self.scale})",
-        )
-        for p in self.points:
-            t.add_row(
-                p.policy, p.plan, p.decisions, p.escalations, p.relaxes,
-                p.packs_written, p.packs_dropped, p.packs_stranded,
-                p.write_timeouts, p.events_analyzed,
-                f"{p.app_walltime:.6f}", f"{p.events_per_s:.1f}",
-            )
-        return t
-
-
-def _workload(scale: str):
-    """(kernel, analyzer ranks): enough iterations for sustained packs."""
-    if scale == "paper":
-        return SP(16, "C", iterations=40), 4
-    if scale == "small":
-        return SP(16, "C", iterations=12), 4
-    raise ConfigError(f"unknown scale {scale!r}")
-
-
 def _run(kernel, readers: int, seed: int, policy: SteeringPolicy,
          plan: FaultPlan | None,
          telemetry: Telemetry | None) -> tuple[SessionResult, str]:
@@ -137,9 +84,8 @@ def _run(kernel, readers: int, seed: int, policy: SteeringPolicy,
         CostModel.for_machine(mach, ranks_per_node=_CORES_PER_NODE),
         eager_threshold=_EAGER_THRESHOLD,
     )
-    icost = InstrumentationCost(
-        block_size=4096, na_buffers=2,
-        write_timeout=2e-3, max_retries=2, overflow="drop-newest",
+    icost = dataclasses.replace(
+        SMALL_PACKS, write_timeout=2e-3, max_retries=2, overflow="drop-newest"
     )
     session = CouplingSession(
         machine=mach, seed=seed, instrumentation=icost, mpi_cost=cost,
@@ -147,14 +93,14 @@ def _run(kernel, readers: int, seed: int, policy: SteeringPolicy,
     )
     name = session.add_application(kernel)
     session.set_analyzer(nprocs=readers)
-    session.enable_monitor()
-    session.enable_steering(policy)
+    session.enable_steering(policy)  # creates the health monitor too
     if plan is not None:
         session.inject_faults(plan)
     return session.run(), name
 
 
-def _point(result: SessionResult, name: str, policy: str, plan: str) -> SteeringBenchPoint:
+def _add_row(lane: LaneResult, result: SessionResult, name: str,
+             policy: str, plan: str) -> None:
     run = result.app(name)
     by_action = {}
     decisions = 0
@@ -164,7 +110,7 @@ def _point(result: SessionResult, name: str, policy: str, plan: str) -> Steering
     writers = [st.stats() for _, st in result.world.streams if st.mode == "w"]
     readers = [st.stats() for _, st in result.world.streams if st.mode == "r"]
     events = result.report.chapter(name).profile.events_total
-    return SteeringBenchPoint(
+    lane.add(
         policy=policy,
         plan=plan,
         decisions=decisions,
@@ -175,7 +121,7 @@ def _point(result: SessionResult, name: str, policy: str, plan: str) -> Steering
         packs_stranded=sum(st["blocks_discarded_at_close"] for st in readers),
         write_timeouts=sum(st["write_timeouts"] for st in writers),
         events_analyzed=events,
-        app_walltime=run.walltime,
+        app_walltime_s=run.walltime,
         events_per_s=events / run.walltime if run.walltime > 0 else 0.0,
     )
 
@@ -184,7 +130,7 @@ def steering_adaptation(
     scale: str = "small",
     seed: int = 0,
     telemetry: Telemetry | None = None,
-) -> SteeringBenchResult:
+) -> LaneResult:
     """Run the static/adaptive × healthy/congested grid.
 
     Every run gets its own :class:`Telemetry`, because the health monitor
@@ -193,16 +139,18 @@ def steering_adaptation(
     passed in is used by the adaptive congested run only, so its trace
     shows the steered session.
     """
-    kernel, readers = _workload(scale)
-    result = SteeringBenchResult(machine=TERA100.name, scale=scale, seed=seed)
+    # Enough iterations for sustained packs; 4 analyzer ranks fill node 2.
+    kernel = SP(16, "C", iterations=by_scale(scale, small=12, paper=40))
+    readers = 4
+    lane = LaneResult(f"Adaptive steering ({TERA100.name}, scale={scale})", COLUMNS)
 
     # The healthy static row anchors the congestion plan.
     run, name = _run(kernel, readers, seed, static_policy(), None, None)
-    result.points.append(_point(run, name, "static", "none"))
+    _add_row(lane, run, name, "static", "none")
     anchor = run.app(name).walltime * _ANCHOR_FRACTION
 
     run, name = _run(kernel, readers, seed, bench_policy(), None, None)
-    result.points.append(_point(run, name, "adaptive", "none"))
+    _add_row(lane, run, name, "adaptive", "none")
 
     plan = FaultPlan(
         specs=(FaultSpec(LINK_DEGRADE, at=anchor, target=-1,
@@ -210,11 +158,11 @@ def steering_adaptation(
         name="congestion",
     )
     run, name = _run(kernel, readers, seed, static_policy(), plan, None)
-    result.points.append(_point(run, name, "static", "congestion"))
+    _add_row(lane, run, name, "static", "congestion")
 
     run, name = _run(kernel, readers, seed, bench_policy(), plan, telemetry)
-    result.points.append(_point(run, name, "adaptive", "congestion"))
-    result.side_files["steering_decisions.json"] = json.dumps(
+    _add_row(lane, run, name, "adaptive", "congestion")
+    lane.side_files["steering_decisions.json"] = json.dumps(
         run.steering, indent=2, default=str
     )
-    return result
+    return lane

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigError
 from repro.apps.nas import SP
-from repro.bench.harness import measure_overhead
+from repro.bench.harness import by_scale, measure_overhead
 from repro.core.comparison import run_tool
 from repro.network.machine import CURIE, MachineSpec, TERA100
 from repro.telemetry import Telemetry
@@ -53,12 +52,7 @@ def bi_bandwidth_table(
     telemetry: Telemetry | None = None,
 ) -> BiResult:
     """Bi comparison of SP.C vs SP.D (paper Sec. IV-C, at 900 cores)."""
-    if scale == "paper":
-        nprocs = 900
-    elif scale == "small":
-        nprocs = 225
-    else:
-        raise ConfigError(f"unknown scale {scale!r}")
+    nprocs = by_scale(scale, small=225, paper=900)
     result = BiResult(machine=machine.name)
     for klass, paper_value in (("C", "2.37 GB/s"), ("D", "334.99 MB/s")):
         point = measure_overhead(
@@ -118,12 +112,7 @@ def trace_size_table(
     Volumes are extrapolated from the simulated iterations to the official
     iteration count (both tools scale linearly in events).
     """
-    if scale == "paper":
-        counts = [256, 1024, 4096]
-    elif scale == "small":
-        counts = [64, 256]
-    else:
-        raise ConfigError(f"unknown scale {scale!r}")
+    counts = by_scale(scale, small=[64, 256], paper=[256, 1024, 4096])
     result = TraceSizeResult(machine=machine.name)
     for nprocs in counts:
         for tool in ("online", "scorep_trace"):
@@ -184,16 +173,11 @@ def fs_comparison_table(
     from repro.bench.figures import _stream_point
     from repro.util.units import GIB, MIB
 
-    if scale == "paper":
-        writers = 2560
-        ratios = [1, 2, 4, 8, 10, 16, 25, 32, 64]
-        bytes_per_writer = 1 * GIB
-    elif scale == "small":
-        writers = 320
-        ratios = [1, 4, 10, 16, 32, 64]
-        bytes_per_writer = 32 * MIB
-    else:
-        raise ConfigError(f"unknown scale {scale!r}")
+    writers, ratios, bytes_per_writer = by_scale(
+        scale,
+        small=(320, [1, 4, 10, 16, 32, 64], 32 * MIB),
+        paper=(2560, [1, 2, 4, 8, 10, 16, 25, 32, 64], 1 * GIB),
+    )
     result = FSComparisonResult(
         machine=machine.name,
         writers=writers,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -536,9 +536,6 @@ class CodecChain:
 
     def __repr__(self) -> str:
         return f"CodecChain({self.spec!r})"
-
-    def _by_phase(self, phase: int) -> list[Stage]:
-        return (self._phase0, self._phase1, self._phase2)[phase]
 
     def encode(self, records: bytes, now: float = 0.0) -> EncodeResult:
         """Run one record batch through the chain (left to right)."""

@@ -86,20 +86,3 @@ class ParallelFS:
         min_duration = nbytes / cap
         floor = self.kernel.timeout(min_duration)
         return self.kernel.all_of([ev, floor])
-
-    def open_file(self, path: str, create: bool = True) -> "_OpenTicket":
-        """Begin an open; caller must ``yield from ticket.wait()``."""
-        if create:
-            self.files_created += 1
-        return _OpenTicket(self, path)
-
-
-class _OpenTicket:
-    """Deferred metadata transaction for an open/create."""
-
-    def __init__(self, fs: ParallelFS, path: str):
-        self.fs = fs
-        self.path = path
-
-    def wait(self):
-        yield from self.fs.metadata_op()

@@ -9,8 +9,8 @@ modelled-computation primitives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Any
 
 from repro.errors import ConfigError, MPIError
 from repro.mpi.communicator import Comm, CommGroup
@@ -130,9 +130,6 @@ class World:
             group = CommGroup(self, tuple(members), label)
             self._group_cache[cache_key] = group
         return group
-
-    def group_by_id(self, comm_id: int) -> CommGroup:
-        return self._groups[comm_id]
 
     # -- partitions ----------------------------------------------------------------
 

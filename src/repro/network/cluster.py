@@ -174,11 +174,6 @@ class Cluster:
                 done = max(done, self._bisection.commit(nbytes))
         return self.kernel.timeout(done + lat - self.kernel.now)
 
-    def injection_eta(self, src: int, nbytes: int) -> float:
-        """When the source NIC would finish injecting ``nbytes`` issued now."""
-        out_pipe, _ = self._nic[self.node_of(src)]
-        return out_pipe.eta(nbytes)
-
     def nic_utilization(self) -> dict[int, tuple[float, float]]:
         """Per-node (egress, ingress) utilization fractions so far."""
         return {

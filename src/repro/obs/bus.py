@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 from repro.errors import ConfigError
-from repro.obs.registry import REGISTRY, SchemaRegistry, make_record
+from repro.obs.registry import REGISTRY, SchemaRegistry
 
 __all__ = ["ObservabilityBus", "SinkBinding"]
 
@@ -144,10 +144,6 @@ class ObservabilityBus:
             else:
                 binding.delivered += 1
         return record
-
-    def publish_record(self, schema: str, kind: str, **payload: Any) -> dict[str, Any]:
-        """Assemble via :func:`~repro.obs.registry.make_record` and publish."""
-        return self.publish(make_record(schema, kind, **payload))
 
     def publish_all(self, records: Iterable[dict[str, Any]]) -> int:
         """Publish a batch; returns how many were accepted."""

@@ -16,7 +16,7 @@ where the distribution over the window matters.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
 
@@ -215,28 +215,3 @@ class Timeline:
                 "points": float(series.total_points),
             }
         return out
-
-    def render_table(self, keys: Iterable[str] | None = None,
-                     max_rows: int = 8) -> str:
-        """Text table of decimated series values over time, one row per
-        sample instant, one column per series."""
-        from repro.util.tables import Table
-
-        keys = [k for k in (keys or sorted(self.series)) if k in self.series]
-        if not keys:
-            return "(no timeline series recorded)"
-        table = Table(["t_virtual_s"] + list(keys), title="Timeline (decimated)")
-        columns = {k: dict(self.series[k].decimated(max_rows)) for k in keys}
-        ticks = sorted({t for pts in columns.values() for t in pts})
-        if len(ticks) > max_rows:
-            stride = len(ticks) / max_rows
-            ticks = [ticks[int(i * stride)] for i in range(max_rows - 1)] + [ticks[-1]]
-        last_seen: dict[str, float] = {k: 0.0 for k in keys}
-        for t in ticks:
-            row: list[object] = [t]
-            for k in keys:
-                if t in columns[k]:
-                    last_seen[k] = columns[k][t]
-                row.append(last_seen[k])
-            table.add_row(*row)
-        return table.render()

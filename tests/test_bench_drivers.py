@@ -9,6 +9,15 @@ suite.
 import pytest
 
 from repro.errors import ConfigError
+from repro.bench import (
+    LaneResult,
+    chaos_resilience,
+    codec_reduction,
+    flow_attribution,
+    metrics_timeline,
+    obs_roundtrip,
+    steering_adaptation,
+)
 from repro.bench.figures import (
     Fig14Result,
     Fig16Result,
@@ -37,6 +46,12 @@ class TestScaleValidation:
             bi_bandwidth_table,
             trace_size_table,
             fs_comparison_table,
+            chaos_resilience,
+            codec_reduction,
+            flow_attribution,
+            metrics_timeline,
+            obs_roundtrip,
+            steering_adaptation,
         ],
     )
     def test_unknown_scale_rejected(self, driver):
@@ -63,6 +78,16 @@ class TestStreamPoint:
 
 
 class TestResultContainers:
+    def test_lane_result_keeps_raw_rows_and_formats_cells(self):
+        lane = LaneResult("T", {"plan": "", "ok": "", "loss_pct": ".2f", "n": ""})
+        lane.add(plan="drop", ok=True, loss_pct=12.3456, n=3)
+        assert lane.rows[0]["loss_pct"] == 12.3456
+        table = lane.table()
+        assert table.title == "T"
+        assert table.rows == [["drop", "yes", "12.35", "3"]]
+        with pytest.raises(ValueError):
+            lane.add(plan="x", ok=False, loss_pct=0.0)
+
     def test_fig14_result_accessors(self):
         result = Fig14Result(machine="X")
         result.points.append(

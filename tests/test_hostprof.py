@@ -114,20 +114,3 @@ class TestTracedEntryPoints:
         # Read, not wrapped: the tracer counts simt.events from it.
         assert Kernel().events_dispatched == 0
 
-
-class TestBenchCLI:
-    def test_report_profile_dumps_pstats_and_hotspots(self, tmp_path, capsys):
-        import cProfile
-
-        from repro.bench.__main__ import _report_profile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        sum(range(10_000))
-        profiler.disable()
-        hotspots = _report_profile(profiler, "trace-sizes", tmp_path)
-        out = capsys.readouterr().out
-        assert (tmp_path / "BENCH_trace_sizes.pstats").exists()
-        assert "Ordered by: cumulative time" in out
-        assert hotspots
-        assert {"function", "ncalls", "tottime_s", "cumtime_s"} <= set(hotspots[0])

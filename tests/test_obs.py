@@ -406,3 +406,23 @@ class TestSessionWiring:
         _tmp, on, _r_on = observed
         with pytest.raises(ConfigError):
             on.enable_observability()
+
+
+class TestBenchLane:
+    def test_telemetry_traces_the_hub_on_run_and_keeps_the_rows(self, tmp_path):
+        # The lane once ignored the telemetry it was given: the trace held
+        # no events and the JSON's telemetry headline read all zeros.
+        from pathlib import Path
+
+        from repro.bench.__main__ import main as bench_main
+
+        baseline = Path(__file__).parent.parent / "benchmarks/baselines/BENCH_obs.json"
+        rc = bench_main([
+            "obs", "--scale", "small", "--json", "--telemetry",
+            "--outdir", str(tmp_path), "--baseline", str(baseline),
+        ])
+        assert rc == 0
+        trace = json.loads((tmp_path / "BENCH_obs.trace.json").read_text())
+        assert trace["traceEvents"]
+        payload = json.loads((tmp_path / "BENCH_obs.json").read_text())
+        assert any(payload["telemetry"]["headline"].values())

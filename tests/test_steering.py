@@ -575,18 +575,18 @@ class TestSessionIntegration:
 class TestBenchLane:
     def test_grid_runs_and_gates(self):
         result = steering_adaptation()
-        assert [(p.policy, p.plan) for p in result.points] == [
+        assert [(row["policy"], row["plan"]) for row in result.rows] == [
             ("static", "none"), ("adaptive", "none"),
             ("static", "congestion"), ("adaptive", "congestion"),
         ]
-        static_h, adaptive_h, static_c, adaptive_c = result.points
-        assert static_h.decisions == 0 and adaptive_h.decisions == 0
-        assert adaptive_c.decisions >= 1
-        assert (adaptive_c.packs_dropped + adaptive_c.packs_stranded
-                < static_c.packs_dropped + static_c.packs_stranded)
-        assert adaptive_c.events_per_s >= static_c.events_per_s
+        static_h, adaptive_h, static_c, adaptive_c = result.rows
+        assert static_h["decisions"] == 0 and adaptive_h["decisions"] == 0
+        assert adaptive_c["decisions"] >= 1
+        assert (adaptive_c["packs_dropped"] + adaptive_c["packs_stranded"]
+                < static_c["packs_dropped"] + static_c["packs_stranded"])
+        assert adaptive_c["events_per_s"] >= static_c["events_per_s"]
         log = json.loads(result.side_files["steering_decisions.json"])
-        assert len(log["decisions"]) == adaptive_c.decisions
+        assert len(log["decisions"]) == adaptive_c["decisions"]
         table = result.table().render()
         assert "congestion" in table
 

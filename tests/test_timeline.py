@@ -169,20 +169,6 @@ class TestTimeline:
         assert summary["counter.bytes"]["high_water"] == 500.0
         assert summary["counter.bytes"]["rate"] == pytest.approx(10000.0)
 
-    def test_render_table(self, tel, clock):
-        ctr = tel.counter("bytes")
-        tl = Timeline(tel, resolution=0.01)
-        for _ in range(4):
-            ctr.inc(10)
-            tl.sample()
-            clock.advance(0.01)
-        text = tl.render_table()
-        assert "counter.bytes" in text
-        assert "t_virtual_s" in text
-        assert Timeline(tel, resolution=1.0).render_table() == (
-            "(no timeline series recorded)"
-        )
-
 
 class TestWindowEdgeCases:
     """Windowing corners the POP-metrics engine leans on."""
